@@ -16,14 +16,14 @@
 //! to the code that moved it; `dcnstat bench` diffs two baselines.
 //!
 //! `--counters` switches the report table to the engine's deterministic
-//! self-observability columns (epochs, cross-shard packets, calendar
-//! spills/fallbacks, arena high-water, shard balance extremes) instead of
+//! self-observability columns (calendar spills/fallbacks, queue peak,
+//! arena high-water) instead of
 //! the wall-clock columns; the JSON rows always carry both.
 //!
 //! `--out <path>` overrides the baseline location (default
 //! `BENCH_sim.json` in the working directory — the repo root under CI).
 
-use dcn_bench::perf::{case_label, case_rate, check_perf, check_thread_invariance, run_perf_suite};
+use dcn_bench::perf::{case_label, case_rate, check_perf, run_perf_suite};
 use dcn_json::Json;
 
 fn fail(msg: &str) -> ! {
@@ -76,10 +76,7 @@ fn main() {
     if counters {
         // The engine self-observability columns: all deterministic, so
         // they are part of the blessed baseline and exact-checked.
-        println!(
-            "case\tevents\tepochs\txshard\tspills\tfallbacks\tcal_peak\tarena_hwm\t\
-             shard_ev_max\tshard_ev_min"
-        );
+        println!("case\tevents\tspills\tfallbacks\tqueue_peak\tarena_hwm");
     } else {
         println!("case\tevents\twall_ms\tevents_per_sec");
     }
@@ -87,17 +84,13 @@ fn main() {
         for c in cases {
             if counters {
                 println!(
-                    "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                    "{}\t{}\t{}\t{}\t{}\t{}",
                     case_label(c),
                     u(c, "events"),
-                    u(c, "epochs"),
-                    u(c, "xshard_pkts"),
                     u(c, "ladder_spills"),
                     u(c, "scatter_fallbacks"),
-                    u(c, "calendar_peak_max"),
+                    u(c, "queue_peak"),
                     u(c, "arena_hwm"),
-                    u(c, "shard_events_max"),
-                    u(c, "shard_events_min"),
                 );
             } else {
                 println!(
@@ -112,15 +105,6 @@ fn main() {
     }
 
     if bless {
-        // Even a fresh baseline must honor the parallel-engine contract:
-        // the shard-scaling rows may not disagree on simulated fields.
-        let errs = check_thread_invariance(&report);
-        if !errs.is_empty() {
-            for e in &errs {
-                eprintln!("bench: {e}");
-            }
-            fail("refusing to bless a thread-dependent baseline");
-        }
         dcn_core::write_atomic(&path, report.pretty().as_bytes())
             .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
         eprintln!("blessed {path}");

@@ -1,6 +1,8 @@
 //! Fig 6b: Jellyfish using the same switches as full fat-trees of
 //! k = 12 / 24 / 36, but supporting 2× the servers; the advantage should
-//! hold or improve with scale. `small` uses k = 6 / 8 / 12.
+//! hold or improve with scale. `small` uses k = 6 / 8 / 12 and `tiny`
+//! k = 6 / 8 (at k = 4, doubling the servers leaves only 2 network
+//! ports per switch).
 
 use dcn_bench::{fluid_curve, fraction_sweep, parse_cli, Series};
 use dcn_core::Scale;
@@ -10,7 +12,7 @@ use dcn_topology::jellyfish::Jellyfish;
 fn main() {
     let cli = parse_cli();
     let ks: &[u32] = match cli.scale {
-        Scale::Tiny => &[4, 6],
+        Scale::Tiny => &[6, 8],
         Scale::Small => &[6, 8, 12],
         Scale::Paper => &[12, 24, 36],
     };

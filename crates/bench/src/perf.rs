@@ -5,9 +5,8 @@
 //! on a fat-tree size) and records two kinds of fields:
 //!
 //! - **simulated** — flow counts, events processed, drops, queue peak,
-//!   and the engine's deterministic self-observability counters (epochs,
-//!   cross-shard packets, calendar spills/fallbacks, arena high-water,
-//!   per-shard event extremes). Same binary, same seed ⇒ byte-identical
+//!   and the engine's deterministic self-observability counters (calendar
+//!   spills/fallbacks and peak, arena high-water). Same binary, same seed ⇒ byte-identical
 //!   values; `--check` compares them exactly, so an accidental behavior
 //!   change in the hot path fails CI even if it is *faster*.
 //! - **wall-clock** — `wall_ms` and `events_per_sec_wall`, segregated in
@@ -49,9 +48,6 @@ struct Case {
     lambda: f64,
     /// Arrival window length (seconds); measurement window matches.
     span_s: f64,
-    /// Worker threads for the sharded engine. Simulated fields are
-    /// byte-identical at every setting; only wall-clock fields may move.
-    threads: u32,
 }
 
 const fn case(
@@ -60,7 +56,6 @@ const fn case(
     k: u32,
     lambda: f64,
     span_s: f64,
-    threads: u32,
 ) -> Case {
     Case {
         topology,
@@ -68,25 +63,16 @@ const fn case(
         k,
         lambda,
         span_s,
-        threads,
     }
 }
 
 const CASES: &[Case] = &[
-    case("fat_tree_k4", "dctcp", 4, 16_000.0, 0.05, 1),
-    case("fat_tree_k4", "newreno", 4, 16_000.0, 0.05, 1),
-    case("fat_tree_k4", "pfabric", 4, 16_000.0, 0.05, 1),
-    // The k=8 dctcp probe doubles as the shard-scaling series: the same
-    // experiment at 1/2/4/8 worker threads. `--check` asserts the
-    // simulated fields of all four rows are identical (byte-stable
-    // parallelism), while the wall-clock columns record how the engine
-    // scales on the bless machine.
-    case("fat_tree_k8", "dctcp", 8, 21_376.0, 0.03, 1),
-    case("fat_tree_k8", "dctcp", 8, 21_376.0, 0.03, 2),
-    case("fat_tree_k8", "dctcp", 8, 21_376.0, 0.03, 4),
-    case("fat_tree_k8", "dctcp", 8, 21_376.0, 0.03, 8),
-    case("fat_tree_k8", "newreno", 8, 21_376.0, 0.03, 1),
-    case("fat_tree_k8", "pfabric", 8, 21_376.0, 0.03, 1),
+    case("fat_tree_k4", "dctcp", 4, 16_000.0, 0.05),
+    case("fat_tree_k4", "newreno", 4, 16_000.0, 0.05),
+    case("fat_tree_k4", "pfabric", 4, 16_000.0, 0.05),
+    case("fat_tree_k8", "dctcp", 8, 21_376.0, 0.03),
+    case("fat_tree_k8", "newreno", 8, 21_376.0, 0.03),
+    case("fat_tree_k8", "pfabric", 8, 21_376.0, 0.03),
 ];
 
 fn config_for(transport: &str) -> SimConfig {
@@ -103,7 +89,7 @@ fn config_for(transport: &str) -> SimConfig {
 fn run_case(c: &Case, seed: u64) -> Json {
     let t = FatTree::full(c.k).build();
     let suite = RoutingSuite::new(&t);
-    let cfg = config_for(c.transport).with_threads(c.threads);
+    let cfg = config_for(c.transport);
     let mut sim = Simulator::new(&t, Box::new(suite.ecmp()), cfg);
     let pattern = AllToAll::new(&t, t.tors_with_servers());
     let flows = generate_flows(&pattern, &PFabricWebSearch::new(), c.lambda, c.span_s, seed);
@@ -118,48 +104,20 @@ fn run_case(c: &Case, seed: u64) -> Json {
     let rate = sim.events_processed() as f64 / wall.as_secs_f64();
     // The engine's deterministic self-observability counters are report
     // columns too: they are simulated fields, so --check compares them
-    // exactly and check_thread_invariance proves they are byte-identical
-    // across the shard-scaling series.
-    let eng = sim.engine_counters();
-    let shard_events_max = eng.shards.iter().map(|s| s.events).max().unwrap_or(0);
-    let shard_events_min = eng.shards.iter().map(|s| s.events).min().unwrap_or(0);
+    // exactly.
+    let eng = sim.engine_counters().shards.remove(0);
     Json::obj(vec![
         ("topology", Json::from(c.topology)),
         ("transport", Json::from(c.transport)),
-        ("threads", Json::from(c.threads as u64)),
         ("seed", Json::from(seed)),
         ("flows", Json::from(flows.len())),
         ("completed", Json::from(m.completed)),
         ("events", Json::from(sim.events_processed())),
         ("drops", Json::from(sim.total_drops())),
         ("queue_peak", Json::from(sim.heap_peak())),
-        ("epochs", Json::from(eng.epochs)),
-        ("merge_ties", Json::from(eng.merge_ties)),
-        ("xshard_pkts", Json::from(eng.cross_shard_total())),
-        (
-            "ladder_spills",
-            Json::from(eng.shards.iter().map(|s| s.ladder_spills).sum::<u64>()),
-        ),
-        (
-            "scatter_fallbacks",
-            Json::from(eng.shards.iter().map(|s| s.scatter_fallbacks).sum::<u64>()),
-        ),
-        (
-            "calendar_peak_max",
-            Json::from(
-                eng.shards
-                    .iter()
-                    .map(|s| s.calendar_peak)
-                    .max()
-                    .unwrap_or(0),
-            ),
-        ),
-        (
-            "arena_hwm",
-            Json::from(eng.shards.iter().map(|s| s.arena_high_water).sum::<u64>()),
-        ),
-        ("shard_events_max", Json::from(shard_events_max)),
-        ("shard_events_min", Json::from(shard_events_min)),
+        ("ladder_spills", Json::from(eng.ladder_spills)),
+        ("scatter_fallbacks", Json::from(eng.scatter_fallbacks)),
+        ("arena_hwm", Json::from(eng.arena_high_water)),
         ("wall_ms", Json::from(wall.as_millis() as u64)),
         ("events_per_sec_wall", Json::from(rate.round() as u64)),
     ])
@@ -180,57 +138,14 @@ pub fn case_rate(case: &Json) -> Option<f64> {
     case.get("events_per_sec_wall").and_then(|v| v.as_f64())
 }
 
-/// The `(topology, transport, threads)` label of a case row.
+/// The `(topology, transport)` label of a case row.
 pub fn case_label(case: &Json) -> String {
     let t = case.get("topology").and_then(|v| v.as_str()).unwrap_or("?");
     let x = case
         .get("transport")
         .and_then(|v| v.as_str())
         .unwrap_or("?");
-    let n = case.get("threads").and_then(|v| v.as_u64()).unwrap_or(1);
-    format!("{t}/{x}/t{n}")
-}
-
-/// The parallel-engine contract, asserted inside the suite itself: rows
-/// that differ *only* in `threads` (the shard-scaling series) must agree
-/// on every simulated field. A divergence means the sharded schedule
-/// changed the simulation — exactly the bug class the engine promises
-/// away — so it fails even on a fresh `--bless`.
-pub fn check_thread_invariance(doc: &Json) -> Vec<String> {
-    let mut errs = Vec::new();
-    let cases = doc.get("cases").and_then(|c| c.as_array()).unwrap_or(&[]);
-    for (i, a) in cases.iter().enumerate() {
-        for b in &cases[i + 1..] {
-            let same_exp = a.get("topology") == b.get("topology")
-                && a.get("transport") == b.get("transport")
-                && a.get("seed") == b.get("seed");
-            if !same_exp || a.get("threads") == b.get("threads") {
-                continue;
-            }
-            let (Some(af), Some(bf)) = (a.as_object(), b.as_object()) else {
-                continue;
-            };
-            for (key, av) in af {
-                if key == "threads" || PERF_WALL_CLOCK_FIELDS.contains(&key.as_str()) {
-                    continue;
-                }
-                match bf.iter().find(|(k, _)| k == key) {
-                    Some((_, bv)) if av == bv => {}
-                    _ => errs.push(format!(
-                        "{} vs {}: simulated field \"{key}\" depends on thread count \
-                         ({av} vs {})",
-                        case_label(a),
-                        case_label(b),
-                        bf.iter()
-                            .find(|(k, _)| k == key)
-                            .map(|(_, v)| v.to_string())
-                            .unwrap_or_else(|| "missing".into()),
-                    )),
-                }
-            }
-        }
-    }
-    errs
+    format!("{t}/{x}")
 }
 
 /// Compares a fresh run against the blessed baseline: every simulated
@@ -244,7 +159,6 @@ pub fn check_perf(current: &Json, baseline: &Json) -> Vec<String> {
             return errs;
         }
     }
-    errs.extend(check_thread_invariance(current));
     let cur = current
         .get("cases")
         .and_then(|c| c.as_array())
@@ -337,42 +251,6 @@ mod tests {
         let errs = check_perf(&doc(100, 499), &doc(100, 1000));
         assert_eq!(errs.len(), 1);
         assert!(errs[0].contains("regressed"), "{errs:?}");
-    }
-
-    fn scaling_doc(events_at_4: u64) -> Json {
-        let row = |threads: u64, events: u64| {
-            Json::obj(vec![
-                ("topology", Json::from("fat_tree_k8")),
-                ("transport", Json::from("dctcp")),
-                ("threads", Json::from(threads)),
-                ("seed", Json::from(1u64)),
-                ("events", Json::from(events)),
-                ("wall_ms", Json::from(10 * threads)), // wall may differ freely
-                ("events_per_sec_wall", Json::from(1000u64)),
-            ])
-        };
-        Json::obj(vec![
-            ("schema", Json::from(PERF_SCHEMA)),
-            ("cases", Json::Arr(vec![row(1, 100), row(4, events_at_4)])),
-        ])
-    }
-
-    #[test]
-    fn thread_invariance_accepts_identical_simulated_fields() {
-        assert!(check_thread_invariance(&scaling_doc(100)).is_empty());
-    }
-
-    #[test]
-    fn thread_invariance_rejects_thread_dependent_results() {
-        let errs = check_thread_invariance(&scaling_doc(101));
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert!(errs[0].contains("depends on thread count"), "{errs:?}");
-        // …and the same violation fails a full --check run.
-        let full = check_perf(&scaling_doc(101), &scaling_doc(101));
-        assert!(
-            full.iter().any(|e| e.contains("depends on thread count")),
-            "{full:?}"
-        );
     }
 
     #[test]

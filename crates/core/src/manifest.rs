@@ -27,15 +27,13 @@ use dcn_topology::Topology;
 /// Manifest fields that legitimately differ between two identical-seed
 /// runs: wall-clock measurements and caller-chosen output paths.
 /// `dcnstat diff` skips exactly these (at any nesting depth — the last
-/// three are the wall-clock leaves of the `engine` counter block).
+/// is the wall-clock leaf of the `engine` counter block).
 pub const WALL_CLOCK_FIELDS: &[&str] = &[
     "wall_ms",
     "events_per_sec_wall",
     "trace_path",
     "telemetry_path",
     "drain_ns",
-    "barrier_wait_ns",
-    "mailbox_flush_ns",
 ];
 
 /// What the caller wants recorded about a run: tool identity, workload
@@ -74,8 +72,8 @@ pub struct ManifestInputs<'a> {
     pub metrics: &'a Metrics,
     pub dists: &'a FctDistributions,
     pub counters: &'a SimCounters,
-    /// The engine's deterministic self-observability counters
-    /// (per-shard events, cross-shard traffic, calendar/arena behavior).
+    /// The engine's deterministic self-observability counters (events,
+    /// calendar/arena behavior).
     pub engine: &'a EngineCounters,
     /// The engine's wall-clock counter set; zeros unless the run enabled
     /// `SimConfig::wall_counters`. Rendered under [`WALL_CLOCK_FIELDS`]
@@ -192,42 +190,20 @@ impl RunManifest {
             ("fault_drops", Json::from(c.fault_drops)),
             ("ecn_marks", Json::from(c.ecn_marks)),
         ]);
-        let eng = inp.engine;
-        let shards = Json::Arr(
-            eng.shards
-                .iter()
-                .map(|s| {
-                    Json::obj(vec![
-                        ("events", Json::from(s.events)),
-                        (
-                            "cross_shard",
-                            Json::Arr(s.cross_shard_sent.iter().map(|&v| Json::from(v)).collect()),
-                        ),
-                        ("calendar_peak", Json::from(s.calendar_peak)),
-                        ("ladder_spills", Json::from(s.ladder_spills)),
-                        ("scatter_fallbacks", Json::from(s.scatter_fallbacks)),
-                        ("arena_live", Json::from(s.arena_live)),
-                        ("arena_high_water", Json::from(s.arena_high_water)),
-                    ])
-                })
-                .collect(),
-        );
-        let wall = inp.engine_wall;
+        let eng = inp.engine.shards.first().cloned().unwrap_or_default();
         let engine = Json::obj(vec![
-            ("epochs", Json::from(eng.epochs)),
-            ("merge_ties", Json::from(eng.merge_ties)),
-            ("events_total", Json::from(eng.events_total())),
-            ("cross_shard_total", Json::from(eng.cross_shard_total())),
-            ("imbalance", Json::from(eng.imbalance())),
-            ("shards", shards),
-            // Wall-clock leaves, named exactly as in WALL_CLOCK_FIELDS so
-            // dcnstat diff ignores them wherever they nest.
+            ("events", Json::from(eng.events)),
+            ("calendar_peak", Json::from(eng.calendar_peak)),
+            ("ladder_spills", Json::from(eng.ladder_spills)),
+            ("scatter_fallbacks", Json::from(eng.scatter_fallbacks)),
+            ("arena_live", Json::from(eng.arena_live)),
+            ("arena_high_water", Json::from(eng.arena_high_water)),
+            // Wall-clock leaf, named exactly as in WALL_CLOCK_FIELDS so
+            // dcnstat diff ignores it.
             (
                 "drain_ns",
-                Json::Arr(wall.drain_ns.iter().map(|&v| Json::from(v)).collect()),
+                Json::from(inp.engine_wall.drain_ns.iter().sum::<u64>()),
             ),
-            ("barrier_wait_ns", Json::from(wall.barrier_wait_ns)),
-            ("mailbox_flush_ns", Json::from(wall.mailbox_flush_ns)),
         ]);
         let telemetry = match &inp.telemetry {
             Some((samples, every, path)) => Json::obj(vec![

@@ -5,6 +5,10 @@
 //! files (`dcn-bench`) without an external dependency. Objects preserve
 //! insertion order so emitted files stay diff-stable.
 //!
+//! Parsing is bounded: arrays and objects may nest at most [`MAX_DEPTH`]
+//! levels, so a hostile document (a daemon request frame, a damaged
+//! file) gets an `Err` instead of overflowing the stack.
+//!
 //! ```
 //! use dcn_json::Json;
 //!
@@ -16,6 +20,11 @@
 //! ```
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts; one level more
+/// is an error. Far above anything the workspace writes, far below what
+/// the recursive-descent parser needs to exhaust a 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Numbers keep an integer representation when the source
 /// (or constructor) was integral, so `u64` counters round-trip exactly.
@@ -36,6 +45,7 @@ impl Json {
         let mut p = Parser {
             b: s.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.ws();
         let v = p.value()?;
@@ -281,6 +291,8 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -318,12 +330,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.i)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.i
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -547,6 +574,32 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_array_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn deep_object_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn nesting_exactly_at_the_limit_parses() {
+        let at = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = &Json::parse(&at).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_array().unwrap()[0];
+        }
+        assert_eq!(v.as_array().map(|a| a.len()), Some(0));
+        let objs = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objs).is_ok());
+        let over = format!("[{at}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

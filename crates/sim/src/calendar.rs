@@ -164,12 +164,12 @@ pub(crate) struct CalendarQueue {
     /// proxy that run manifests report.
     pub(crate) peak: usize,
     /// Ladder→ring migrations performed by cursor advances — a pure
-    /// function of the push/pop sequence, so thread-count invariant
-    /// (reported by the engine's deterministic counter set).
+    /// function of the push/pop sequence (reported by the engine's
+    /// deterministic counter set).
     pub(crate) ladder_spills: u64,
     /// Sub-bucket sorts that fell back from the counting scatter to a
     /// comparison sort (per-`t` seq monotonicity broken by a ladder
-    /// migration); also thread-count invariant.
+    /// migration); also deterministic.
     pub(crate) scatter_fallbacks: u64,
 }
 
@@ -329,47 +329,72 @@ impl CalendarQueue {
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<CalEntry> {
+    /// Readies the next event and says where it sits: `Some(true)` at
+    /// the back of the sorted sub-bucket, `Some(false)` atop the side
+    /// heap, `None` when the queue is empty.
+    #[inline]
+    fn front(&mut self) -> Option<bool> {
         if self.cur.is_empty() && self.incoming.is_empty() {
             if self.len == 0 {
                 return None;
             }
             self.refill();
         }
-        self.len -= 1;
         // The next event is the smaller of the sorted sub-bucket's back
         // and the side heap's top. `<=` favors the sub-bucket, but keys
         // are unique (`seq` is a fresh counter per push) so either bias
         // is correct.
-        let take_cur = match (self.cur.last(), self.incoming.peek()) {
+        Some(match (self.cur.last(), self.incoming.peek()) {
             (Some(v), Some(h)) => v.key() <= h.key(),
             (Some(_), None) => true,
             _ => false,
+        })
+    }
+
+    /// The event [`CalendarQueue::front`] located.
+    #[inline]
+    fn front_entry(&self, in_cur: bool) -> &CalEntry {
+        let e = if in_cur {
+            self.cur.last()
+        } else {
+            self.incoming.peek()
         };
-        let e = if take_cur {
+        e.expect("front() located an event")
+    }
+
+    #[inline]
+    fn take(&mut self, in_cur: bool) -> Option<CalEntry> {
+        self.len -= 1;
+        if in_cur {
             self.cur.pop()
         } else {
             self.incoming.pop()
-        };
-        debug_assert!(e.is_some());
-        e
+        }
+    }
+
+    /// Pops the next event unconditionally (the engine bounds its pops
+    /// with [`CalendarQueue::pop_before`]).
+    #[cfg(test)]
+    pub(crate) fn pop(&mut self) -> Option<CalEntry> {
+        let in_cur = self.front()?;
+        self.take(in_cur)
+    }
+
+    /// Pops the next event if it fires strictly before `limit`.
+    #[inline]
+    pub(crate) fn pop_before(&mut self, limit: Ns) -> Option<CalEntry> {
+        let in_cur = self.front()?;
+        if self.front_entry(in_cur).t >= limit {
+            return None;
+        }
+        self.take(in_cur)
     }
 
     /// Timestamp of the next event to pop. `&mut` because reaching the
     /// next event may require activating its bucket.
     pub(crate) fn peek_t(&mut self) -> Option<Ns> {
-        if self.cur.is_empty() && self.incoming.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            self.refill();
-        }
-        match (self.cur.last(), self.incoming.peek()) {
-            (Some(v), Some(h)) => Some(v.t.min(h.t)),
-            (Some(v), None) => Some(v.t),
-            (None, Some(h)) => Some(h.t),
-            (None, None) => None,
-        }
+        let in_cur = self.front()?;
+        Some(self.front_entry(in_cur).t)
     }
 
     /// Makes the next event poppable: advances to the next ring bucket if
@@ -587,6 +612,13 @@ mod tests {
         fn pop(&mut self) -> Option<(Ns, u64, u32)> {
             self.heap.pop().map(|e| (e.t, e.seq, id_of(&e.ev)))
         }
+
+        fn pop_before(&mut self, limit: Ns) -> Option<(Ns, u64, u32)> {
+            match self.heap.peek() {
+                Some(e) if e.t < limit => self.pop(),
+                _ => None,
+            }
+        }
     }
 
     #[test]
@@ -614,7 +646,10 @@ mod tests {
         q.push(3_000_000, Ev::FlowStart(0));
         q.push(10, Ev::FlowStart(1));
         assert_eq!(q.peek_t(), Some(10));
-        assert_eq!(q.pop().unwrap().t, 10);
+        assert!(q.pop_before(10).is_none(), "the limit is exclusive");
+        assert_eq!(q.pop_before(11).unwrap().t, 10);
+        assert!(q.pop_before(3_000_000).is_none());
+        assert_eq!(q.len(), 1);
         assert_eq!(q.peek_t(), Some(3_000_000));
         assert_eq!(q.pop().unwrap().t, 3_000_000);
         assert_eq!(q.peek_t(), None);
@@ -647,8 +682,14 @@ mod tests {
                     model.push(now + dt, Ev::FlowStart(next_id));
                     next_id += 1;
                 } else {
-                    let want = model.pop();
-                    let got = cal.pop().map(|e| (e.t, e.seq, id_of(&e.ev)));
+                    // Half the pops are bounded, the way the engine pops
+                    // up to its next control/telemetry deadline.
+                    let limit = match rng.gen_range(0u32..2) {
+                        0 => Ns::MAX,
+                        _ => now + rng.gen_range(0u64..3_000_000),
+                    };
+                    let want = model.pop_before(limit);
+                    let got = cal.pop_before(limit).map(|e| (e.t, e.seq, id_of(&e.ev)));
                     assert_eq!(got, want, "round {round}: pop diverged");
                     if let Some((t, _, _)) = want {
                         now = t; // future pushes respect the clock

@@ -1,50 +1,41 @@
 //! Engine self-observability counters.
 //!
-//! The parallel engine exposes two disjoint counter sets, segregated the
-//! same way the bench harness splits `PERF_WALL_CLOCK_FIELDS` from
-//! simulated quantities:
+//! The engine exposes two disjoint counter sets, segregated the same way
+//! the bench harness splits `PERF_WALL_CLOCK_FIELDS` from simulated
+//! quantities:
 //!
 //! - **Deterministic counters** ([`EngineCounters`]) — pure functions of
-//!   the event schedule: events drained per shard, cross-shard packets
-//!   per mailbox pair, epoch/barrier count, calendar occupancy
-//!   high-water, ladder spills, counting-scatter fallbacks, arena
-//!   live/high-water, and trace merge-order ties. Because the schedule is
-//!   invariant to `SimConfig::threads`, these are **byte-identical at
-//!   every thread count** — the parallel-determinism suite asserts it —
-//!   and they snapshot/restore through checkpoints exactly.
-//! - **Wall-clock counters** ([`WallClockCounters`]) — per-shard drain
-//!   time, coordinator barrier wait, and mailbox flush time, measured
-//!   with `Instant`. These vary run to run and machine to machine, so
-//!   they are gated behind `SimConfig::wall_counters` (off by default;
-//!   the gate keeps the hot loop free of clock reads), never serialized
-//!   into checkpoints, and listed in every diff tool's skip list (see
-//!   [`WALL_CLOCK_COUNTER_FIELDS`]).
+//!   the event schedule: events processed, calendar occupancy high-water,
+//!   ladder spills, counting-scatter fallbacks, and arena live/high-water.
+//!   A same-seed run reproduces them exactly, and they snapshot/restore
+//!   through checkpoints exactly.
+//! - **Wall-clock counters** ([`WallClockCounters`]) — time spent in the
+//!   event loop, measured with `Instant`. It varies run to run and
+//!   machine to machine, so it is gated behind `SimConfig::wall_counters`
+//!   (off by default; the gate keeps runs free of clock reads), never
+//!   serialized into checkpoints, and listed in every diff tool's skip
+//!   list (see [`WALL_CLOCK_COUNTER_FIELDS`]).
 //!
-//! The deterministic set is maintained off the per-event hot path where
-//! possible: per-shard event totals accumulate at epoch barriers from the
-//! existing per-epoch deltas, cross-shard counts accumulate once per
-//! mailbox flush, and the calendar/arena counters live inside branches
-//! that already execute rarely (ladder migration, scatter fallback, slab
-//! growth). The `trace_overhead` bench gate holds the engine to its
-//! blessed no-observability throughput floor with all of this in place.
-
-use crate::shard::NUM_SHARDS;
+//! The calendar/arena counters live inside branches that already execute
+//! rarely (ladder migration, scatter fallback, slab growth), so keeping
+//! them costs the hot loop nothing.
+//!
+//! `shards` always holds exactly one entry. The epoch, cross-shard,
+//! barrier and mailbox fields always read 0; they are kept only so
+//! existing readers compile.
 
 /// Manifest leaf names of the wall-clock counter set — the names
 /// `dcnstat diff` (via `dcn-core`'s `WALL_CLOCK_FIELDS`) must skip so
-/// same-seed runs at different thread counts diff clean.
-pub const WALL_CLOCK_COUNTER_FIELDS: [&str; 3] =
-    ["drain_ns", "barrier_wait_ns", "mailbox_flush_ns"];
+/// same-seed manifests diff clean.
+pub const WALL_CLOCK_COUNTER_FIELDS: [&str; 1] = ["drain_ns"];
 
-/// Deterministic per-shard counters; see the module docs.
+/// Deterministic counters of the event loop; see the module docs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardCounters {
-    /// Events this shard has drained over the whole run.
+    /// Events processed over the whole run (data and control plane;
+    /// equals `Simulator::events_processed`).
     pub events: u64,
-    /// Packets this shard posted to each destination shard's mailbox
-    /// (`cross_shard_sent[self] == 0`: local deliveries never mail).
-    pub cross_shard_sent: [u64; NUM_SHARDS],
-    /// High-water mark of the shard calendar's pending-event population.
+    /// High-water mark of the calendar's pending-event population.
     pub calendar_peak: u64,
     /// Ladder→ring migrations: events that sat beyond the ring horizon
     /// and were re-filed into buckets as the cursor advanced.
@@ -53,52 +44,30 @@ pub struct ShardCounters {
     /// comparison sort (per-`t` seq monotonicity broken by a ladder
     /// migration).
     pub scatter_fallbacks: u64,
-    /// Packets live in the shard's arena right now.
+    /// Packets live in the arena right now.
     pub arena_live: u64,
-    /// High-water mark of live packets in the shard's arena.
+    /// High-water mark of live packets in the arena.
     pub arena_high_water: u64,
-}
-
-impl ShardCounters {
-    /// Total packets this shard mailed to other shards.
-    pub fn cross_shard_total(&self) -> u64 {
-        self.cross_shard_sent.iter().sum()
-    }
 }
 
 /// The deterministic counter set for a whole run; see the module docs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Data-plane epochs executed (one barrier each).
+    /// Retired with the sharded engine's epoch barriers: always 0.
     pub epochs: u64,
-    /// Same-timestamp candidates passed over during the barrier's k-way
-    /// trace merge (lowest shard wins; 0 when tracing is off).
-    pub merge_ties: u64,
-    /// Per-shard counters, indexed by shard id (always [`NUM_SHARDS`]).
+    /// The event loop's counters: always exactly one entry.
     pub shards: Vec<ShardCounters>,
 }
 
 impl EngineCounters {
-    /// Total events drained, summed over shards.
+    /// Total events processed.
     pub fn events_total(&self) -> u64 {
         self.shards.iter().map(|s| s.events).sum()
     }
 
-    /// Total cross-shard packets, summed over all mailbox pairs.
+    /// Retired with the sharded engine's mailboxes: always 0.
     pub fn cross_shard_total(&self) -> u64 {
-        self.shards.iter().map(|s| s.cross_shard_total()).sum()
-    }
-
-    /// Busiest shard's event count over the mean — the load-imbalance
-    /// figure `dcnstat shards` reports (1.0 = perfectly balanced; 0.0
-    /// when no events ran).
-    pub fn imbalance(&self) -> f64 {
-        let total = self.events_total();
-        if total == 0 || self.shards.is_empty() {
-            return 0.0;
-        }
-        let max = self.shards.iter().map(|s| s.events).max().unwrap_or(0);
-        max as f64 * self.shards.len() as f64 / total as f64
+        0
     }
 }
 
@@ -106,11 +75,11 @@ impl EngineCounters {
 /// was set. See the module docs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WallClockCounters {
-    /// Time each shard spent draining events, by shard id.
+    /// Time spent inside the event loop (one entry).
     pub drain_ns: Vec<u64>,
-    /// Coordinator time spent waiting for workers at epoch barriers.
+    /// Retired with the sharded engine's epoch barriers: always 0.
     pub barrier_wait_ns: u64,
-    /// Total time spent posting per-shard out-buffers to the mailboxes.
+    /// Retired with the sharded engine's mailboxes: always 0.
     pub mailbox_flush_ns: u64,
 }
 
@@ -119,18 +88,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn imbalance_of_uniform_load_is_one() {
-        let mut c = EngineCounters {
-            shards: vec![ShardCounters::default(); NUM_SHARDS],
+    fn events_total_sums_entries() {
+        let c = EngineCounters {
+            shards: vec![ShardCounters {
+                events: 42,
+                ..Default::default()
+            }],
             ..Default::default()
         };
-        for s in &mut c.shards {
-            s.events = 100;
-        }
-        assert_eq!(c.events_total(), 800);
-        assert!((c.imbalance() - 1.0).abs() < 1e-12);
-        c.shards[0].events = 800;
-        assert!(c.imbalance() > 1.9, "skew must raise the figure");
+        assert_eq!(c.events_total(), 42);
+        assert_eq!(c.cross_shard_total(), 0);
     }
 
     #[test]
@@ -138,14 +105,5 @@ mod tests {
         let c = EngineCounters::default();
         assert_eq!(c.events_total(), 0);
         assert_eq!(c.cross_shard_total(), 0);
-        assert_eq!(c.imbalance(), 0.0);
-    }
-
-    #[test]
-    fn cross_shard_total_sums_mailbox_pairs() {
-        let mut s = ShardCounters::default();
-        s.cross_shard_sent[1] = 3;
-        s.cross_shard_sent[7] = 4;
-        assert_eq!(s.cross_shard_total(), 7);
     }
 }

@@ -1,11 +1,10 @@
-//! The engine layer: sharded event queues, clock, and dispatch loop.
+//! The engine layer: event queue, clock, and dispatch loop.
 //!
 //! [`Simulator`] owns the three lower layers and wires them together:
 //!
-//! - **time** — [`NUM_SHARDS`] calendar queues of `(t, seq)`-ordered
-//!   events, one per shard of the node set; the monotonically increasing
-//!   per-shard `seq` makes same-timestamp ordering (and therefore every
-//!   run) deterministic,
+//! - **time** — one [`CalendarQueue`] of `(t, seq)`-ordered events; the
+//!   monotonically increasing `seq` makes same-timestamp ordering (and
+//!   therefore every run) deterministic,
 //! - **hosts** — [`Flow`] state driven by a pluggable
 //!   [`Transport`] (DCTCP by default; see [`crate::host`]),
 //! - **fabric** — directed channels ([`Channels`](crate::channel::Channels),
@@ -13,34 +12,19 @@
 //!   [`QueueDiscipline`](crate::switch::QueueDiscipline)s (see
 //!   [`crate::switch`]), degraded by the fault layer ([`crate::fault`]).
 //!
-//! # Parallel execution
+//! # The event loop
 //!
-//! The engine is a conservative parallel discrete-event simulator. Nodes
-//! (switches and hosts) are partitioned into [`NUM_SHARDS`] fixed shards
-//! by a hash of the topology fingerprint ([`crate::shard::shard_map`]);
-//! every event belongs to exactly one shard (the one owning the node
-//! where it takes effect), and each shard has its own calendar queue and
-//! packet arena. Time advances in epochs: the coordinator computes the
-//! global minimum next-event time `T`, sets the epoch horizon to
-//! `T + lookahead` (the minimum serialization + propagation latency of
-//! any channel — no packet can cross a shard boundary sooner), and all
-//! shards drain their queues up to the horizon in parallel. Deliveries
-//! that land on another shard are batched into mutex-protected mailboxes
-//! and merged into the destination calendars at the epoch barrier in a
-//! fixed `(dst, src, emission order)` order.
+//! One sequential loop pops the earliest `(t, seq)` event and dispatches
+//! it (`FlowStart`, `TxFree`, `Deliver`, `Rto`); every effect — trace
+//! lines, telemetry byte counts, drop and goodput accounting — is applied
+//! where it happens. Control-plane events (faults, reconvergence) and
+//! telemetry sampling run inline too, before any data event at the same
+//! `t`: the loop drains data events up to the earliest of those
+//! deadlines, then runs whichever is due.
 //!
-//! **The schedule is a pure function of the shard partition, never of
-//! the worker count.** `SimConfig::threads` only chooses how many OS
-//! threads drain the 8 shards (worker `w` of `T` takes shards
-//! `s ≡ w (mod T)`); the event interleaving, and therefore every output
-//! byte, is identical at any thread count. Control-plane events (faults,
-//! reconvergence) and telemetry sampling run on the coordinator between
-//! epochs.
-//!
-//! In-flight packets live in per-shard [`PacketArena`](crate::slab::PacketArena)
-//! slabs and travel through events and queues as dense [`PktId`]s — the
-//! per-packet path does no heap allocation and no pointer chasing; a
-//! cross-shard hop copies the packet by value through its mailbox.
+//! In-flight packets live in one [`PacketArena`] slab and travel through
+//! events and queues as dense [`PktId`]s — the per-packet path does no
+//! heap allocation and no pointer chasing.
 //!
 //! Servers are explicit endpoints attached to their ToR by a pair of host
 //! channels; switches are source-routed (the path is chosen per flowlet at
@@ -54,13 +38,12 @@
 //! (timer arming/backoff, sequence rewinding, flowlet re-salting);
 //! transports decide what happens to the window.
 
+use crate::calendar::{CalEntry, CalendarQueue};
 use crate::channel::Offer;
 use crate::counters::{EngineCounters, ShardCounters, WallClockCounters};
 use crate::fault::{component_labels, gray_drop, FaultController, FaultPlan, RemappedSelector};
 use crate::host::{transport_for, ChannelPath, Flow, FlowRx, Transport};
-use crate::mailbox::{Mail, Mailboxes};
-use crate::shard::{shard_map, EpochSync, ShardSlot, ShardState, NUM_SHARDS};
-use crate::slab::PktId;
+use crate::slab::{PacketArena, PktId};
 use crate::stats::{DropCounters, FlowRecord, TraceCounters};
 use crate::switch::{DisciplineFactory, Fabric};
 use crate::telemetry::{Sample, Telemetry};
@@ -70,13 +53,12 @@ use dcn_routing::ecmp::hash3;
 use dcn_routing::{KspSelector, PathSelector};
 use dcn_topology::{NodeId, Topology};
 use dcn_workloads::FlowEvent;
-use std::cell::UnsafeCell;
 use std::sync::Arc;
 use std::time::Instant;
 
 const HEADER_BYTES: u32 = 40;
 
-/// Data-plane events; each belongs to exactly one shard.
+/// Data-plane events.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     FlowStart(u32),
@@ -85,8 +67,8 @@ pub(crate) enum Ev {
     Rto(u32, u32),
 }
 
-/// Control-plane events; these run on the coordinator between epochs so
-/// they can mutate global state (channel up/down, the path selector).
+/// Control-plane events; these mutate global state (channel up/down, the
+/// path selector) and run before any data event at the same time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CtrlEv {
     /// A scheduled fault fires (index into the installed plan's events).
@@ -103,73 +85,29 @@ pub(crate) struct CtrlEntry {
     pub(crate) ev: CtrlEv,
 }
 
-/// State shared read-mostly across worker threads during an epoch.
-///
-/// Interior mutability discipline (why the `unsafe impl Sync` is sound):
-///
-/// - `flows[i]` is only touched by the shard owning flow `i`'s *source*
-///   host; `rx[i]` only by the shard owning its *destination* host.
-/// - Channel dynamic state is owner-exclusive per epoch (see
-///   [`crate::channel`]); the barrier-published fields (`up`,
-///   `loss_prob`) are written by the coordinator between epochs only.
-/// - `selector` is read by workers during epochs and replaced by the
-///   coordinator (reconvergence) between epochs.
-pub(crate) struct Shared {
+/// The packet-level simulator.
+pub struct Simulator {
     pub(crate) cfg: SimConfig,
     pub(crate) fabric: Fabric,
-    pub(crate) flows: Vec<UnsafeCell<Flow>>,
-    pub(crate) rx: Vec<UnsafeCell<FlowRx>>,
+    /// Sender halves of every injected flow, indexed by flow id.
+    pub(crate) flows: Vec<Flow>,
+    /// Receiver halves, indexed like `flows`.
+    pub(crate) rx: Vec<FlowRx>,
     pub(crate) transport: Box<dyn Transport>,
-    pub(crate) selector: UnsafeCell<Box<dyn PathSelector>>,
+    pub(crate) selector: Box<dyn PathSelector>,
     /// Congestion-oracle routing (§7.1 exploration): when set, flowlet
     /// paths are chosen as the least-queued of the k shortest paths,
-    /// scored against live global queue occupancy — which is why the
-    /// oracle requires `threads == 1`.
+    /// scored against live global queue occupancy.
     pub(crate) oracle: Option<KspSelector>,
-    /// Node → shard map (both switches and hosts), fixed at build time.
-    pub(crate) node_shard: Vec<u8>,
     /// Seed of the installed fault plan (drives counter-based gray loss).
     pub(crate) plan_seed: u64,
     /// Cached `tracer.enabled()`: every emission site guards on this one
     /// bool so untraced runs skip event construction entirely.
     pub(crate) trace_on: bool,
-    /// Whether a telemetry sampler is installed (gates per-tx notes).
-    pub(crate) tel_on: bool,
-}
-
-unsafe impl Sync for Shared {}
-
-impl Shared {
-    /// Caller must hold shard ownership of flow `fid`'s source host (or
-    /// be the coordinator between epochs).
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn flow(&self, fid: u32) -> &mut Flow {
-        &mut *self.flows[fid as usize].get()
-    }
-
-    /// Caller must hold shard ownership of flow `fid`'s destination host
-    /// (or be the coordinator between epochs).
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn rx(&self, fid: u32) -> &mut FlowRx {
-        &mut *self.rx[fid as usize].get()
-    }
-
-    #[inline]
-    pub(crate) fn shard_of_node(&self, node: u32) -> usize {
-        self.node_shard[node as usize] as usize
-    }
-
-    #[inline]
-    pub(crate) fn host_node(&self, server: u32) -> u32 {
-        self.fabric.num_switches + server
-    }
-}
-
-/// The packet-level simulator.
-pub struct Simulator {
-    pub(crate) sh: Shared,
-    pub(crate) shards: Vec<ShardSlot>,
-    pub(crate) mail: Mailboxes,
+    /// Pending data-plane events.
+    pub(crate) queue: CalendarQueue,
+    /// In-flight and queued packets, addressed by [`PktId`].
+    pub(crate) pkts: PacketArena,
     pub(crate) now: Ns,
     pub(crate) window: (Ns, Ns),
     pub(crate) window_remaining: usize,
@@ -185,7 +123,7 @@ pub struct Simulator {
     /// Bytes newly acknowledged per 1-ms bin (goodput timeline).
     pub(crate) goodput_bins: Vec<u64>,
     /// The observability sink ([`crate::trace`]); [`NopTracer`] by
-    /// default. Fed at epoch barriers from the per-shard buffers.
+    /// default.
     pub(crate) tracer: Box<dyn Tracer>,
     /// The time-series sampler ([`crate::telemetry`]); `None` by default.
     pub(crate) telemetry: Option<Box<Telemetry>>,
@@ -200,14 +138,9 @@ pub struct Simulator {
     /// topology). Checkpoints persist this so a restore can rebuild the
     /// identical survivor view.
     pub(crate) routing_down: Option<(Vec<bool>, Vec<bool>)>,
-    /// Data-plane epochs executed (deterministic counter; checkpointed).
-    pub(crate) epochs: u64,
-    /// Same-timestamp candidates passed over in the barrier's k-way trace
-    /// merge (deterministic counter; checkpointed).
-    pub(crate) merge_ties: u64,
-    /// Coordinator wall time spent waiting at epoch barriers (zero unless
+    /// Wall-clock time spent inside the event loop (zero unless
     /// `SimConfig::wall_counters`; never checkpointed).
-    pub(crate) wall_barrier_ns: u64,
+    pub(crate) wall_drain_ns: u64,
 }
 
 /// Inserts a control event keeping `ctrl[pos..]` sorted by `(t, seq)`.
@@ -216,31 +149,6 @@ pub(crate) fn ctrl_insert(ctrl: &mut Vec<CtrlEntry>, pos: usize, seq: &mut u64, 
     *seq += 1;
     let at = pos + ctrl[pos..].partition_point(|e| (e.t, e.seq) <= (t, s));
     ctrl.insert(at, CtrlEntry { t, seq: s, ev });
-}
-
-/// Terminates an unfinished flow as failed (coordinator-side: touches
-/// both flow halves).
-fn fail_flow_at(
-    sh: &Shared,
-    fid: u32,
-    now: Ns,
-    window_remaining: &mut usize,
-    tracer: &mut dyn Tracer,
-) {
-    let rx = unsafe { sh.rx(fid) };
-    let f = unsafe { sh.flow(fid) };
-    if rx.finished_ns.is_some() || f.failed {
-        return;
-    }
-    f.failed = true;
-    rx.failed = true;
-    rx.rcv_bitmap = Vec::new();
-    if f.in_window {
-        *window_remaining -= 1;
-    }
-    if sh.trace_on {
-        tracer.event(now, &TraceEvent::FlowFail { flow: fid });
-    }
 }
 
 impl Simulator {
@@ -277,25 +185,18 @@ impl Simulator {
         transport: Box<dyn Transport>,
         disc: DisciplineFactory,
     ) -> Self {
-        let fabric = Fabric::build(topo, &cfg, disc);
-        let num_nodes = fabric.num_switches as usize + fabric.num_servers();
-        let node_shard = shard_map(topo.fingerprint(), num_nodes);
         Simulator {
-            sh: Shared {
-                cfg,
-                fabric,
-                flows: Vec::new(),
-                rx: Vec::new(),
-                transport,
-                selector: UnsafeCell::new(selector),
-                oracle: None,
-                node_shard,
-                plan_seed: 0,
-                trace_on: false,
-                tel_on: false,
-            },
-            shards: (0..NUM_SHARDS).map(|_| ShardSlot::new()).collect(),
-            mail: Mailboxes::new(),
+            fabric: Fabric::build(topo, &cfg, disc),
+            cfg,
+            flows: Vec::new(),
+            rx: Vec::new(),
+            transport,
+            selector,
+            oracle: None,
+            plan_seed: 0,
+            trace_on: false,
+            queue: CalendarQueue::new(),
+            pkts: PacketArena::new(),
             now: 0,
             window: (0, Ns::MAX),
             window_remaining: 0,
@@ -312,16 +213,14 @@ impl Simulator {
             pkts_sent: 0,
             pkts_delivered: 0,
             routing_down: None,
-            epochs: 0,
-            merge_ties: 0,
-            wall_barrier_ns: 0,
+            wall_drain_ns: 0,
         }
     }
 
     /// Installs a [`Tracer`]; call before [`Simulator::run`]. The default
     /// is [`NopTracer`], which disables event construction altogether.
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.sh.trace_on = tracer.enabled();
+        self.trace_on = tracer.enabled();
         self.tracer = tracer;
     }
 
@@ -344,7 +243,6 @@ impl Simulator {
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry_next = telemetry.every_ns();
         self.telemetry = Some(Box::new(telemetry));
-        self.sh.tel_on = true;
     }
 
     /// The installed telemetry sampler, if any.
@@ -360,20 +258,15 @@ impl Simulator {
         Conservation {
             sent: self.pkts_sent,
             delivered: self.pkts_delivered,
-            dropped: self.sh.fabric.total_congestion_drops() + self.sh.fabric.total_fault_drops(),
+            dropped: self.fabric.total_congestion_drops() + self.fabric.total_fault_drops(),
             in_flight: self.packets_in_flight(),
         }
     }
 
-    fn shard_ref(&self, s: usize) -> &ShardState {
-        unsafe { &*self.shards[s].0.get() }
-    }
-
-    /// High-water mark of the event-queue population over the run so far,
-    /// summed across shards (the name predates the calendar queue;
-    /// manifests report it).
+    /// High-water mark of the event-queue population over the run so far
+    /// (the name predates the calendar queue; manifests report it).
     pub fn heap_peak(&self) -> usize {
-        (0..NUM_SHARDS).map(|s| self.shard_ref(s).queue.peak).sum()
+        self.queue.peak
     }
 
     /// Installs a fault plan: every event goes onto the control-plane
@@ -382,7 +275,7 @@ impl Simulator {
     /// [`Simulator::run`].
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         plan.validate(&self.topo);
-        self.sh.plan_seed = plan.seed;
+        self.plan_seed = plan.seed;
         for (at_ns, idx) in self.faults.install(plan) {
             ctrl_insert(
                 &mut self.ctrl,
@@ -401,20 +294,19 @@ impl Simulator {
     /// as the adaptive-routing upper bound the paper's §7.1 asks about.
     ///
     /// The oracle scores paths on the topology it was given and is *not*
-    /// rebuilt on reconvergence — don't combine it with a fault plan. It
-    /// reads global queue state, so it requires `threads == 1`.
+    /// rebuilt on reconvergence — don't combine it with a fault plan.
     pub fn enable_oracle_routing(&mut self, topo: &Topology, k: usize) {
-        self.sh.oracle = Some(KspSelector::new(topo, k));
+        self.oracle = Some(KspSelector::new(topo, k));
     }
 
     /// Number of servers in the simulated network.
     pub fn num_servers(&self) -> usize {
-        self.sh.fabric.num_servers()
+        self.fabric.num_servers()
     }
 
     /// Name of the active congestion-control transport (e.g. `"dctcp"`).
     pub fn transport_name(&self) -> &'static str {
-        self.sh.transport.name()
+        self.transport.name()
     }
 
     /// Sets the measurement window `[start, end)`; flows starting inside
@@ -428,15 +320,15 @@ impl Simulator {
     pub fn inject(&mut self, events: &[FlowEvent]) {
         for e in events {
             let start_ns = (e.start_s * 1e9) as Ns;
-            let src = self.sh.fabric.server_id(e.src.rack, e.src.server);
-            let dst = self.sh.fabric.server_id(e.dst.rack, e.dst.server);
+            let src = self.fabric.server_id(e.src.rack, e.src.server);
+            let dst = self.fabric.server_id(e.dst.rack, e.dst.server);
             assert_ne!(src, dst, "flow with identical endpoints");
-            let total_pkts = e.bytes.div_ceil(self.sh.cfg.mss as u64).max(1) as u32;
+            let total_pkts = e.bytes.div_ceil(self.cfg.mss as u64).max(1) as u32;
             let in_window = start_ns >= self.window.0 && start_ns < self.window.1;
             if in_window {
                 self.window_remaining += 1;
             }
-            let id = self.sh.flows.len() as u32;
+            let id = self.flows.len() as u32;
             let f = Flow::new(
                 src,
                 dst,
@@ -445,17 +337,12 @@ impl Simulator {
                 e.bytes,
                 start_ns,
                 total_pkts,
-                self.sh.transport.initial_cwnd(&self.sh.cfg),
+                self.transport.initial_cwnd(&self.cfg),
                 in_window,
             );
-            let shard = self.sh.shard_of_node(self.sh.host_node(src));
-            self.sh.rx.push(UnsafeCell::new(FlowRx::new(&f)));
-            self.sh.flows.push(UnsafeCell::new(f));
-            self.shards[shard]
-                .0
-                .get_mut()
-                .queue
-                .push(start_ns, Ev::FlowStart(id));
+            self.rx.push(FlowRx::new(&f));
+            self.flows.push(f);
+            self.queue.push(start_ns, Ev::FlowStart(id));
         }
     }
 
@@ -475,87 +362,86 @@ impl Simulator {
         self.run_loop(Ns::MAX, t_stop)
     }
 
-    /// The epoch-barrier driver behind [`Simulator::run`] and
-    /// [`Simulator::run_until`].
+    /// [`Simulator::event_loop`], timed when the wall-clock counter set
+    /// is on.
     fn run_loop(&mut self, max_time: Ns, t_stop: Ns) -> bool {
-        let threads = self.sh.cfg.threads.clamp(1, NUM_SHARDS as u32) as usize;
-        assert!(
-            self.sh.oracle.is_none() || threads == 1,
-            "oracle routing reads global queue state and requires threads=1"
-        );
-        // Split the simulator into the worker-shared read view and the
-        // coordinator-owned &mut view; workers never see `Ctx`.
-        let Simulator {
-            sh,
-            shards,
-            mail,
-            now,
-            window: _,
-            window_remaining,
-            events_processed,
-            topo,
-            faults,
-            ctrl,
-            ctrl_pos,
-            ctrl_seq,
-            goodput_bins,
-            tracer,
-            telemetry,
-            telemetry_next,
-            pkts_sent,
-            pkts_delivered,
-            routing_down,
-            epochs,
-            merge_ties,
-            wall_barrier_ns,
-        } = self;
-        let sh: &Shared = sh;
-        let shards: &[ShardSlot] = shards.as_slice();
-        let mail: &Mailboxes = mail;
-        let mut ctx = Ctx {
-            sh,
-            shards,
-            mail,
-            topo,
-            now,
-            window_remaining,
-            events_processed,
-            faults,
-            ctrl,
-            ctrl_pos,
-            ctrl_seq,
-            goodput_bins,
-            tracer,
-            telemetry,
-            telemetry_next,
-            pkts_sent,
-            pkts_delivered,
-            routing_down,
-            epochs,
-            merge_ties,
-            wall_barrier_ns,
+        if !self.cfg.wall_counters {
+            return self.event_loop(max_time, t_stop);
+        }
+        let t0 = Instant::now();
+        let done = self.event_loop(max_time, t_stop);
+        self.wall_drain_ns += t0.elapsed().as_nanos() as u64;
+        done
+    }
+
+    /// The loop behind [`Simulator::run`] and [`Simulator::run_until`].
+    /// Returns `true` when the run completed (window drained or queues
+    /// empty), `false` when it paused at `t_stop`.
+    fn event_loop(&mut self, max_time: Ns, t_stop: Ns) -> bool {
+        let budget = match self.cfg.max_events {
+            0 => u64::MAX,
+            n => n,
         };
-        let sync = EpochSync::new();
-        std::thread::scope(|scope| {
-            for w in 1..threads {
-                let sync = &sync;
-                scope.spawn(move || {
-                    let mut last = 0u64;
-                    while let Some((e, end)) = sync.await_epoch(last) {
-                        last = e;
-                        for s in (w..NUM_SHARDS).step_by(threads) {
-                            let st = unsafe { shards[s].get() };
-                            drain_and_flush(sh, mail, st, s, end);
-                        }
-                        sync.finish_epoch();
-                    }
-                });
+        let end = max_time.min(t_stop);
+        loop {
+            let ctrl_t = self.ctrl.get(self.ctrl_pos).map(|e| e.t);
+            // Data events run up to (excluding) the next control event or
+            // telemetry deadline, and through `end`.
+            let limit = ctrl_t
+                .unwrap_or(Ns::MAX)
+                .min(self.telemetry_next)
+                .min(end.saturating_add(1));
+            while let Some(item) = self.queue.pop_before(limit) {
+                self.dispatch(item);
+                if self.events_processed > budget {
+                    self.watchdog();
+                }
+                if self.done() {
+                    return true;
+                }
             }
-            // Dropped on every exit from this closure — normal return or
-            // coordinator panic — so workers never outlive the loop.
-            let _guard = ShutdownGuard(&sync);
-            ctx.main_loop(&sync, threads, max_time, t_stop)
-        })
+            let Some(tnext) = [self.queue.peek_t(), ctrl_t].into_iter().flatten().min() else {
+                return true; // nothing left to run
+            };
+            if tnext > max_time {
+                return true;
+            }
+            if tnext > t_stop {
+                return false;
+            }
+            if self.telemetry_next <= tnext {
+                self.telemetry_sample(tnext);
+            } else {
+                // Control plane runs before data events at the same t.
+                debug_assert_eq!(ctrl_t, Some(tnext), "data event missed by the drain");
+                self.fire_ctrl();
+                if self.done() {
+                    return true;
+                }
+            }
+        }
+    }
+
+    fn watchdog(&self) -> ! {
+        panic!(
+            "event budget exceeded: {} events at t={} ns with {} window flows outstanding",
+            self.events_processed, self.now, self.window_remaining
+        );
+    }
+
+    fn done(&self) -> bool {
+        self.window_remaining == 0 && !self.flows.is_empty()
+    }
+
+    fn dispatch(&mut self, item: CalEntry) {
+        self.now = item.t;
+        self.events_processed += 1;
+        match item.ev {
+            Ev::FlowStart(f) => self.on_flow_start(f),
+            Ev::TxFree(ch) => self.on_tx_free(ch),
+            Ev::Deliver(id) => self.on_deliver(id),
+            Ev::Rto(f, epoch) => self.on_rto(f, epoch),
+        }
     }
 
     /// Ends the run: fails unfinished flows, flushes the observability
@@ -565,7 +451,7 @@ impl Simulator {
     pub fn finish(&mut self) -> Vec<FlowRecord> {
         // Anything still unfinished when the run stops counts as failed,
         // so completed + failed covers every injected flow.
-        for fid in 0..self.sh.flows.len() as u32 {
+        for fid in 0..self.flows.len() as u32 {
             self.fail_flow(fid);
         }
         self.tracer.finish();
@@ -575,53 +461,52 @@ impl Simulator {
         self.records()
     }
 
+    /// Terminates an unfinished flow as failed.
     fn fail_flow(&mut self, fid: u32) {
-        fail_flow_at(
-            &self.sh,
-            fid,
-            self.now,
-            &mut self.window_remaining,
-            self.tracer.as_mut(),
-        );
+        let rx = &mut self.rx[fid as usize];
+        let f = &mut self.flows[fid as usize];
+        if rx.finished_ns.is_some() || f.failed {
+            return;
+        }
+        f.failed = true;
+        rx.failed = true;
+        rx.rcv_bitmap = Vec::new();
+        if f.in_window {
+            self.window_remaining -= 1;
+        }
+        if self.trace_on {
+            self.tracer
+                .event(self.now, &TraceEvent::FlowFail { flow: fid });
+        }
     }
 
     /// Per-flow outcomes.
     pub fn records(&self) -> Vec<FlowRecord> {
-        (0..self.sh.flows.len() as u32)
-            .map(|fid| {
-                let f = self.flow_ref(fid);
-                let rx = self.rx_ref(fid);
-                FlowRecord {
-                    start_ns: f.start_ns,
-                    size_bytes: f.size_bytes,
-                    fct_ns: rx.finished_ns.map(|t| t - f.start_ns),
-                    failed: f.failed,
-                    recovery_ns: match (f.fault_hit_ns, f.recovery_ns) {
-                        (Some(hit), Some(rec)) => Some(rec - hit),
-                        _ => None,
-                    },
-                }
+        self.flows
+            .iter()
+            .zip(&self.rx)
+            .map(|(f, rx)| FlowRecord {
+                start_ns: f.start_ns,
+                size_bytes: f.size_bytes,
+                fct_ns: rx.finished_ns.map(|t| t - f.start_ns),
+                failed: f.failed,
+                recovery_ns: match (f.fault_hit_ns, f.recovery_ns) {
+                    (Some(hit), Some(rec)) => Some(rec - hit),
+                    _ => None,
+                },
             })
             .collect()
     }
 
-    pub(crate) fn flow_ref(&self, fid: u32) -> &Flow {
-        unsafe { &*self.sh.flows[fid as usize].get() }
-    }
-
-    pub(crate) fn rx_ref(&self, fid: u32) -> &FlowRx {
-        unsafe { &*self.sh.rx[fid as usize].get() }
-    }
-
     /// Total congestion tail drops across all channels.
     pub fn total_congestion_drops(&self) -> u64 {
-        self.sh.fabric.total_congestion_drops()
+        self.fabric.total_congestion_drops()
     }
 
     /// Packets lost to injected faults: dead or gray channels, plus
     /// packets that never left the host because no route existed.
     pub fn total_fault_drops(&self) -> u64 {
-        self.sh.fabric.total_fault_drops() + self.faults.noroute_drops
+        self.fabric.total_fault_drops() + self.faults.noroute_drops
     }
 
     /// All drops, congestion and fault; equals
@@ -633,11 +518,11 @@ impl Simulator {
     /// Drops split by cause, from the fabric's own counters (no tracer
     /// required). `total()` equals [`Simulator::total_drops`].
     pub fn drop_breakdown(&self) -> DropCounters {
-        let eviction = self.sh.fabric.total_evictions();
+        let eviction = self.fabric.total_evictions();
         DropCounters {
-            congestion: self.sh.fabric.total_congestion_drops() - eviction,
+            congestion: self.fabric.total_congestion_drops() - eviction,
             eviction,
-            fault: self.sh.fabric.total_fault_drops(),
+            fault: self.fabric.total_fault_drops(),
             noroute: self.faults.noroute_drops,
         }
     }
@@ -646,18 +531,14 @@ impl Simulator {
     /// delivery) — the in-flight term of the conservation identity when a
     /// run stops at its horizon.
     pub fn packets_in_flight(&self) -> u64 {
-        let queued: u64 = (0..self.sh.fabric.channels.len() as u32)
-            .map(|id| self.sh.fabric.channels.queue_len(id) as u64)
+        let queued: u64 = (0..self.fabric.channels.len() as u32)
+            .map(|id| self.fabric.channels.queue_len(id) as u64)
             .sum();
-        let on_wire: u64 = (0..NUM_SHARDS)
-            .map(|s| {
-                self.shard_ref(s)
-                    .queue
-                    .iter()
-                    .filter(|i| matches!(i.ev, Ev::Deliver(_)))
-                    .count() as u64
-            })
-            .sum();
+        let on_wire = self
+            .queue
+            .iter()
+            .filter(|i| matches!(i.ev, Ev::Deliver(_)))
+            .count() as u64;
         queued + on_wire
     }
 
@@ -669,7 +550,7 @@ impl Simulator {
 
     /// Total ECN marks across all channels.
     pub fn total_marks(&self) -> u64 {
-        self.sh.fabric.total_marks()
+        self.fabric.total_marks()
     }
 
     pub fn events_processed(&self) -> u64 {
@@ -677,27 +558,19 @@ impl Simulator {
     }
 
     /// The deterministic engine counter set (see [`crate::counters`]):
-    /// byte-identical at every thread count and preserved exactly across
-    /// checkpoint/restore. Call between runs/epochs (any time `&self` is
-    /// available outside `run`/`run_until` is).
+    /// reproduced exactly by a same-seed run and preserved exactly across
+    /// checkpoint/restore.
     pub fn engine_counters(&self) -> EngineCounters {
         EngineCounters {
-            epochs: self.epochs,
-            merge_ties: self.merge_ties,
-            shards: (0..NUM_SHARDS)
-                .map(|s| {
-                    let st = self.shard_ref(s);
-                    ShardCounters {
-                        events: st.events_total,
-                        cross_shard_sent: st.xshard_sent,
-                        calendar_peak: st.queue.peak as u64,
-                        ladder_spills: st.queue.ladder_spills,
-                        scatter_fallbacks: st.queue.scatter_fallbacks,
-                        arena_live: st.pkts.live_count() as u64,
-                        arena_high_water: st.pkts.high_water() as u64,
-                    }
-                })
-                .collect(),
+            epochs: 0,
+            shards: vec![ShardCounters {
+                events: self.events_processed,
+                calendar_peak: self.queue.peak as u64,
+                ladder_spills: self.queue.ladder_spills,
+                scatter_fallbacks: self.queue.scatter_fallbacks,
+                arena_live: self.pkts.live_count() as u64,
+                arena_high_water: self.pkts.high_water() as u64,
+            }],
         }
     }
 
@@ -706,199 +579,26 @@ impl Simulator {
     /// or determinism comparisons.
     pub fn wall_clock_counters(&self) -> WallClockCounters {
         WallClockCounters {
-            drain_ns: (0..NUM_SHARDS)
-                .map(|s| self.shard_ref(s).wall_drain_ns)
-                .collect(),
-            barrier_wait_ns: self.wall_barrier_ns,
-            mailbox_flush_ns: (0..NUM_SHARDS)
-                .map(|s| self.shard_ref(s).wall_flush_ns)
-                .sum(),
+            drain_ns: vec![self.wall_drain_ns],
+            barrier_wait_ns: 0,
+            mailbox_flush_ns: 0,
         }
     }
 
-    /// Current simulated time in ns (the horizon of the last completed
-    /// epoch's newest event).
+    /// Current simulated time in ns (the time of the last event run).
     pub fn now(&self) -> Ns {
         self.now
     }
-}
 
-/// Shuts the workers down when the coordinator leaves the epoch loop —
-/// including by panic (watchdog, sink I/O), which would otherwise leave
-/// them spinning forever inside `thread::scope`.
-struct ShutdownGuard<'a>(&'a EpochSync);
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Drains one shard's calendar up to (exclusive) the epoch horizon.
-fn run_shard_epoch(sh: &Shared, st: &mut ShardState, shard: usize, end: Ns) {
-    while st.queue.peek_t().is_some_and(|t| t < end) {
-        let item = st.queue.pop().expect("peeked item must pop");
-        st.events += 1;
-        if item.t > st.last_t {
-            st.last_t = item.t;
-        }
-        let mut lane = Lane {
-            sh,
-            st,
-            shard,
-            now: item.t,
-        };
-        match item.ev {
-            Ev::FlowStart(f) => lane.on_flow_start(f),
-            Ev::TxFree(ch) => lane.on_tx_free(ch),
-            Ev::Deliver(id) => lane.on_deliver(id),
-            Ev::Rto(f, epoch) => lane.on_rto(f, epoch),
-        }
-    }
-}
-
-/// Posts a shard's batched cross-shard sends to the mailboxes,
-/// accumulating the per-destination counts (one add per mailbox pair per
-/// epoch — off the per-packet path).
-fn flush_out(mail: &Mailboxes, st: &mut ShardState, shard: usize) {
-    for dst in 0..NUM_SHARDS {
-        st.xshard_sent[dst] += st.out[dst].len() as u64;
-        mail.post(shard, dst, &mut st.out[dst]);
-    }
-}
-
-/// Drains one shard to the epoch horizon and flushes its out-buffers,
-/// timing both phases when the wall-clock counter set is on.
-fn drain_and_flush(sh: &Shared, mail: &Mailboxes, st: &mut ShardState, shard: usize, end: Ns) {
-    if sh.cfg.wall_counters {
-        let t0 = Instant::now();
-        run_shard_epoch(sh, st, shard, end);
-        let t1 = Instant::now();
-        st.wall_drain_ns += (t1 - t0).as_nanos() as u64;
-        flush_out(mail, st, shard);
-        st.wall_flush_ns += t1.elapsed().as_nanos() as u64;
-    } else {
-        run_shard_epoch(sh, st, shard, end);
-        flush_out(mail, st, shard);
-    }
-}
-
-/// The coordinator's exclusive view of the simulator during `run_loop`:
-/// everything the epoch barrier and the control plane mutate.
-struct Ctx<'a> {
-    sh: &'a Shared,
-    shards: &'a [ShardSlot],
-    mail: &'a Mailboxes,
-    topo: &'a Topology,
-    now: &'a mut Ns,
-    window_remaining: &'a mut usize,
-    events_processed: &'a mut u64,
-    faults: &'a mut FaultController,
-    ctrl: &'a mut Vec<CtrlEntry>,
-    ctrl_pos: &'a mut usize,
-    ctrl_seq: &'a mut u64,
-    goodput_bins: &'a mut Vec<u64>,
-    tracer: &'a mut Box<dyn Tracer>,
-    telemetry: &'a mut Option<Box<Telemetry>>,
-    telemetry_next: &'a mut Ns,
-    pkts_sent: &'a mut u64,
-    pkts_delivered: &'a mut u64,
-    routing_down: &'a mut Option<(Vec<bool>, Vec<bool>)>,
-    epochs: &'a mut u64,
-    merge_ties: &'a mut u64,
-    wall_barrier_ns: &'a mut u64,
-}
-
-impl Ctx<'_> {
-    /// The epoch loop. Returns `true` when the run completed (window
-    /// drained or queues empty), `false` when it paused at `t_stop`.
-    fn main_loop(&mut self, sync: &EpochSync, threads: usize, max_time: Ns, t_stop: Ns) -> bool {
-        let sh = self.sh;
-        // Lookahead: no packet can take effect on another shard sooner
-        // than the fastest channel's serialization (of the smallest wire
-        // packet) plus propagation.
-        let min_wire = sh.cfg.ack_bytes.min(HEADER_BYTES);
-        let lookahead = sh.fabric.channels.min_latency_ns(min_wire);
-        loop {
-            let mut min_t: Option<Ns> = None;
-            for s in 0..NUM_SHARDS {
-                let st = unsafe { self.shards[s].get() };
-                if let Some(t) = st.queue.peek_t() {
-                    if min_t.is_none_or(|m| t < m) {
-                        min_t = Some(t);
-                    }
-                }
-            }
-            let ctrl_t = self.ctrl.get(*self.ctrl_pos).map(|e| e.t);
-            let tnext = match (min_t, ctrl_t) {
-                (None, None) => return true,
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-            };
-            if tnext > max_time {
-                return true;
-            }
-            if tnext > t_stop {
-                return false;
-            }
-            if *self.telemetry_next <= tnext {
-                self.telemetry_sample(tnext);
-                continue; // re-arms telemetry_next past tnext
-            }
-            if ctrl_t.is_some_and(|c| min_t.is_none_or(|m| c <= m)) {
-                // Control plane runs before data events at the same t.
-                self.fire_ctrl();
-                if self.done() {
-                    return true;
-                }
-                continue;
-            }
-            let min_t = min_t.expect("ctrl branch handled the None case");
-            let end = min_t
-                .saturating_add(lookahead)
-                .min(ctrl_t.unwrap_or(Ns::MAX))
-                .min(*self.telemetry_next)
-                .min(max_time.saturating_add(1))
-                .min(t_stop.saturating_add(1));
-            debug_assert!(end > min_t, "epoch must make progress");
-            sync.publish(end);
-            for s in (0..NUM_SHARDS).step_by(threads) {
-                let st = unsafe { self.shards[s].get() };
-                drain_and_flush(sh, self.mail, st, s, end);
-            }
-            if sh.cfg.wall_counters {
-                let t0 = Instant::now();
-                sync.wait_workers(threads - 1);
-                *self.wall_barrier_ns += t0.elapsed().as_nanos() as u64;
-            } else {
-                sync.wait_workers(threads - 1);
-            }
-            *self.epochs += 1;
-            let done = self.barrier_merge();
-            if sh.cfg.max_events != 0 && *self.events_processed > sh.cfg.max_events {
-                panic!(
-                    "event budget exceeded: {} events at t={} ns with {} window flows outstanding",
-                    *self.events_processed, *self.now, *self.window_remaining
-                );
-            }
-            if done {
-                return true;
-            }
-        }
-    }
-
-    fn done(&self) -> bool {
-        *self.window_remaining == 0 && !self.sh.flows.is_empty()
-    }
+    // ------------------------------------------------------ control plane
 
     fn fire_ctrl(&mut self) {
-        let e = self.ctrl[*self.ctrl_pos];
-        *self.ctrl_pos += 1;
-        if e.t > *self.now {
-            *self.now = e.t;
+        let e = self.ctrl[self.ctrl_pos];
+        self.ctrl_pos += 1;
+        if e.t > self.now {
+            self.now = e.t;
         }
-        *self.events_processed += 1;
+        self.events_processed += 1;
         match e.ev {
             CtrlEv::Fault(i) => self.on_fault(i),
             CtrlEv::Reconverge(epoch) => self.on_reconverge(epoch),
@@ -906,11 +606,10 @@ impl Ctx<'_> {
     }
 
     fn on_fault(&mut self, idx: u32) {
-        let sh = self.sh;
-        if sh.trace_on {
+        if self.trace_on {
             let k = self.faults.kind(idx);
             self.tracer.event(
-                *self.now,
+                self.now,
                 &TraceEvent::Fault {
                     kind: k.label(),
                     id: k.target(),
@@ -918,15 +617,15 @@ impl Ctx<'_> {
                 },
             );
         }
-        if self.faults.fire(idx, &sh.fabric) {
+        if self.faults.fire(idx, &mut self.fabric) {
             // Hard (control-plane-visible) fault: reconverge after the
             // configured delay.
             let epoch = self.faults.next_epoch();
-            let t = *self.now + sh.cfg.reconverge_delay_ns;
+            let t = self.now + self.cfg.reconverge_delay_ns;
             ctrl_insert(
-                self.ctrl,
-                *self.ctrl_pos,
-                self.ctrl_seq,
+                &mut self.ctrl,
+                self.ctrl_pos,
+                &mut self.ctrl_seq,
                 t,
                 CtrlEv::Reconverge(epoch),
             );
@@ -937,29 +636,24 @@ impl Ctx<'_> {
         if epoch != self.faults.epoch() {
             return; // a newer fault superseded this rebuild
         }
-        if self.sh.trace_on {
+        if self.trace_on {
             self.tracer
-                .event(*self.now, &TraceEvent::Reconverge { epoch });
+                .event(self.now, &TraceEvent::Reconverge { epoch });
         }
-        let (survivor, map) = self.faults.survivor_topology(self.topo);
-        *self.routing_down = Some(self.faults.down_state());
-        // Between epochs the coordinator is the only thread touching the
-        // selector cell.
-        let sel = unsafe { &mut *self.sh.selector.get() };
-        let rebuilt = sel.rebuild(&survivor);
-        *sel = Box::new(RemappedSelector::new(rebuilt, map));
+        let (survivor, map) = self.faults.survivor_topology(&self.topo);
+        self.routing_down = Some(self.faults.down_state());
+        let rebuilt = self.selector.rebuild(&survivor);
+        self.selector = Box::new(RemappedSelector::new(rebuilt, map));
         // With no fault event still pending, connectivity is final: fail
         // flows whose endpoints are gone or in different components
         // instead of letting them back off until max_time.
         if self.faults.pending() == 0 {
             let comp = component_labels(&survivor);
-            for fid in 0..self.sh.flows.len() as u32 {
-                let dead = {
-                    let f = unsafe { &*self.sh.flows[fid as usize].get() };
-                    self.faults.switch_is_down(f.src_tor)
-                        || self.faults.switch_is_down(f.dst_tor)
-                        || comp[f.src_tor as usize] != comp[f.dst_tor as usize]
-                };
+            for fid in 0..self.flows.len() as u32 {
+                let f = &self.flows[fid as usize];
+                let dead = self.faults.switch_is_down(f.src_tor)
+                    || self.faults.switch_is_down(f.dst_tor)
+                    || comp[f.src_tor as usize] != comp[f.dst_tor as usize];
                 if dead {
                     self.fail_flow(fid);
                 }
@@ -967,36 +661,22 @@ impl Ctx<'_> {
         }
     }
 
-    fn fail_flow(&mut self, fid: u32) {
-        fail_flow_at(
-            self.sh,
-            fid,
-            *self.now,
-            self.window_remaining,
-            self.tracer.as_mut(),
-        );
-    }
-
     /// Snapshots fabric-wide state for the cadence boundary at or before
     /// `t`, writes one sample line, and re-arms the deadline (skipping any
     /// boundaries the event gap jumped over).
     fn telemetry_sample(&mut self, t: Ns) {
-        let sh = self.sh;
-        let shards = self.shards;
-        let events = *self.events_processed;
-        let sent = *self.pkts_sent;
-        let delivered = *self.pkts_delivered;
         let Some(tel) = self.telemetry.as_mut() else {
             return;
         };
+        let chans = &self.fabric.channels;
         let every = tel.every_ns();
         let boundary = (t / every) * every;
         let mut queued_pkts = 0u64;
         let mut queued_bytes = 0u64;
         let mut channels = Vec::new();
-        for id in 0..sh.fabric.channels.len() as u32 {
-            let qlen = sh.fabric.channels.queue_len(id) as u32;
-            let qbytes = sh.fabric.channels.queue_bytes(id);
+        for id in 0..chans.len() as u32 {
+            let qlen = chans.queue_len(id) as u32;
+            let qbytes = chans.queue_bytes(id);
             let tx = tel.interval_tx(id);
             queued_pkts += qlen as u64;
             queued_bytes += qbytes;
@@ -1006,207 +686,44 @@ impl Ctx<'_> {
         }
         let mut flows_active = 0u64;
         let mut inflight_bytes = 0u64;
-        for fid in 0..sh.flows.len() as u32 {
-            let f = unsafe { &*sh.flows[fid as usize].get() };
-            let rx = unsafe { &*sh.rx[fid as usize].get() };
+        for (f, rx) in self.flows.iter().zip(&self.rx) {
             if f.is_active(rx, t) {
                 flows_active += 1;
-                inflight_bytes += f.inflight_bytes(sh.cfg.mss);
+                inflight_bytes += f.inflight_bytes(self.cfg.mss);
             }
         }
-        let heap: u64 = (0..NUM_SHARDS)
-            .map(|s| unsafe { &*shards[s].0.get() }.queue.len() as u64)
-            .sum();
         let sample = Sample {
             t: boundary,
-            events,
+            events: self.events_processed,
             // Field name predates the calendar queue; kept for byte-stable
             // telemetry streams.
-            heap,
+            heap: self.queue.len() as u64,
             flows_active,
             inflight_bytes,
             queued_pkts,
             queued_bytes,
             tx_bytes: tel.interval_tx_total(),
-            sent,
-            delivered,
-            marks: sh.fabric.total_marks(),
-            drops_congestion: sh.fabric.total_congestion_drops(),
-            drops_fault: sh.fabric.total_fault_drops(),
+            sent: self.pkts_sent,
+            delivered: self.pkts_delivered,
+            marks: self.fabric.total_marks(),
+            drops_congestion: self.fabric.total_congestion_drops(),
+            drops_fault: self.fabric.total_fault_drops(),
             channels,
         };
         tel.write_sample(&sample)
             .expect("telemetry sink write failed");
-        *self.telemetry_next = boundary + every;
+        self.telemetry_next = boundary + every;
     }
 
-    /// The epoch barrier: folds per-shard deltas into the global
-    /// counters, applies deferred cross-shard effects, routes mailbox
-    /// deliveries into destination calendars, and merges the shard trace
-    /// buffers into the tracer — all in a fixed order so every thread
-    /// count produces identical state. Returns the completion condition.
-    fn barrier_merge(&mut self) -> bool {
-        let sh = self.sh;
-        let chans = &sh.fabric.channels;
-        for s in 0..NUM_SHARDS {
-            let st = unsafe { self.shards[s].get() };
-            *self.events_processed += st.events;
-            st.events_total += st.events;
-            st.events = 0;
-            *self.pkts_sent += st.sent;
-            st.sent = 0;
-            *self.pkts_delivered += st.delivered;
-            st.delivered = 0;
-            *self.window_remaining -= st.window_finished as usize;
-            st.window_finished = 0;
-            self.faults.noroute_drops += st.noroute;
-            st.noroute = 0;
-            for (bin, bytes) in st.goodput.drain(..) {
-                let bin = bin as usize;
-                if self.goodput_bins.len() <= bin {
-                    self.goodput_bins.resize(bin + 1, 0);
-                }
-                self.goodput_bins[bin] += bytes;
-            }
-            for ch in st.remote_fault_drops.drain(..) {
-                chans.add_fault_drop(ch);
-            }
-            if st.last_t > *self.now {
-                *self.now = st.last_t;
-            }
-        }
-        // First fault-induced loss per flow (minimum t wins; a shard's
-        // buffer is time-ordered but several shards may hit one flow).
-        for s in 0..NUM_SHARDS {
-            let st = unsafe { self.shards[s].get() };
-            for (fid, t) in st.fault_hits.drain(..) {
-                let rx = unsafe { sh.rx(fid) };
-                let f = unsafe { sh.flow(fid) };
-                if rx.finished_ns.is_none() && !f.failed && f.fault_hit_ns.is_none_or(|h| t < h) {
-                    f.fault_hit_ns = Some(t);
-                }
-            }
-        }
-        // Cross-shard deliveries: fixed (dst, src, emission order) merge;
-        // each gets a fresh seq in its destination calendar.
-        for dst in 0..NUM_SHARDS {
-            let st = unsafe { self.shards[dst].get() };
-            self.mail.drain_to(dst, |m| {
-                let id = st.pkts.alloc(m.pkt);
-                st.queue.push(m.t, Ev::Deliver(id));
-            });
-        }
-        // Trace merge: k-way by strict `t <` (lowest shard wins ties;
-        // per-shard buffers are time-nondecreasing).
-        if sh.trace_on {
-            let mut idx = [0usize; NUM_SHARDS];
-            loop {
-                let mut best: Option<(Ns, usize)> = None;
-                for (s, &ix) in idx.iter().enumerate() {
-                    let st = unsafe { self.shards[s].get() };
-                    if let Some(&(t, _)) = st.trace_buf.get(ix) {
-                        match best {
-                            Some((bt, _)) if t >= bt => {
-                                if t == bt {
-                                    // A same-t candidate passed over: the
-                                    // lowest shard wins the tie. Counting
-                                    // these surfaces how much merge order
-                                    // actually rides on the tiebreak.
-                                    *self.merge_ties += 1;
-                                }
-                            }
-                            _ => best = Some((t, s)),
-                        }
-                    }
-                }
-                let Some((_, s)) = best else { break };
-                let st = unsafe { self.shards[s].get() };
-                let (t, ev) = st.trace_buf[idx[s]];
-                idx[s] += 1;
-                self.tracer.event(t, &ev);
-            }
-        }
-        for s in 0..NUM_SHARDS {
-            unsafe { self.shards[s].get() }.trace_buf.clear();
-        }
-        // Telemetry tx accounting, in shard order.
-        for s in 0..NUM_SHARDS {
-            let st = unsafe { self.shards[s].get() };
-            if let Some(tel) = self.telemetry.as_mut() {
-                for &(ch, bytes) in &st.tx_notes {
-                    tel.on_tx(ch, bytes);
-                }
-            }
-            st.tx_notes.clear();
-        }
-        self.done()
-    }
-}
-
-/// One shard's execution context for a single event: the shared read
-/// view, the shard's own mutable state, and the event clock.
-struct Lane<'a> {
-    sh: &'a Shared,
-    st: &'a mut ShardState,
-    shard: usize,
-    now: Ns,
-}
-
-impl<'a> Lane<'a> {
-    /// Flow sender state; this shard must own the flow's source host.
-    fn flow(&self, fid: u32) -> &'a mut Flow {
-        let f = unsafe { self.sh.flow(fid) };
-        debug_assert_eq!(
-            self.shard,
-            self.sh.shard_of_node(self.sh.host_node(f.src_server)),
-            "flow {fid} sender touched off-shard"
-        );
-        f
-    }
-
-    /// Flow receiver state; this shard must own the destination host.
-    fn rx(&self, fid: u32) -> &'a mut FlowRx {
-        let rx = unsafe { self.sh.rx(fid) };
-        debug_assert_eq!(
-            self.shard,
-            self.sh.shard_of_node(self.sh.host_node(rx.dst_server)),
-            "flow {fid} receiver touched off-shard"
-        );
-        rx
-    }
-
-    #[inline]
-    fn trace(&mut self, ev: TraceEvent) {
-        self.st.trace_buf.push((self.now, ev));
-    }
-
-    fn schedule(&mut self, t: Ns, ev: Ev) {
-        debug_assert!(t >= self.now);
-        self.st.queue.push(t, ev);
-    }
-
-    /// Schedules a wire delivery, routing it through the mailbox when the
-    /// receiving node lives on another shard. The conservative lookahead
-    /// guarantees `t` is at or past the epoch horizon in that case.
-    fn send_deliver(&mut self, ch_id: u32, id: PktId, t: Ns) {
-        let sh = self.sh;
-        let dest = sh.shard_of_node(sh.fabric.channels.to_node[ch_id as usize]);
-        if dest == self.shard {
-            self.schedule(t, Ev::Deliver(id));
-        } else {
-            let pkt = self.st.pkts.get(id).clone();
-            self.st.pkts.free(id);
-            self.st.out[dest].push(Mail { t, pkt });
-        }
-    }
+    // --------------------------------------------------------- data plane
 
     fn on_flow_start(&mut self, fid: u32) {
-        let f = self.flow(fid);
+        let f = &mut self.flows[fid as usize];
         if f.failed {
             return; // terminated before it began (disconnected endpoints)
         }
         f.window_end = 1;
-        if self.sh.trace_on {
+        if self.trace_on {
             let ev = TraceEvent::FlowStart {
                 flow: fid,
                 src: f.src_server,
@@ -1214,45 +731,42 @@ impl<'a> Lane<'a> {
                 bytes: f.size_bytes,
                 pkts: f.total_pkts,
             };
-            self.trace(ev);
+            self.tracer.event(self.now, &ev);
         }
         self.arm_rto(fid);
         self.pump(fid);
     }
 
     fn on_tx_free(&mut self, ch_id: u32) {
-        if let Some(id) = self.sh.fabric.channels.tx_done(ch_id) {
+        if let Some(id) = self.fabric.channels.tx_done(ch_id) {
             self.start_tx(ch_id, id);
         }
     }
 
     fn start_tx(&mut self, ch_id: u32, id: PktId) {
-        let sh = self.sh;
-        let chans = &sh.fabric.channels;
-        let (flow, seq, is_ack, bytes) = {
-            let p = self.st.pkts.get(id);
-            (p.flow, p.seq, p.is_ack, p.bytes)
-        };
-        if sh.trace_on {
-            self.trace(TraceEvent::Dequeue {
+        let p = self.pkts.get(id);
+        let bytes = p.bytes;
+        if self.trace_on {
+            let ev = TraceEvent::Dequeue {
                 ch: ch_id,
-                flow,
-                seq,
-                is_ack,
-            });
+                flow: p.flow,
+                seq: p.seq,
+                is_ack: p.is_ack,
+            };
+            self.tracer.event(self.now, &ev);
         }
+        let chans = &self.fabric.channels;
         let ser = chans.ser_ns(ch_id, bytes);
         let prop = chans.prop_ns[ch_id as usize];
-        if sh.tel_on {
-            self.st.tx_notes.push((ch_id, bytes));
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.on_tx(ch_id, bytes);
         }
-        self.schedule(self.now + ser, Ev::TxFree(ch_id));
-        self.send_deliver(ch_id, id, self.now + ser + prop);
+        self.queue.push(self.now + ser, Ev::TxFree(ch_id));
+        self.queue.push(self.now + ser + prop, Ev::Deliver(id));
     }
 
     fn send_on(&mut self, ch_id: u32, id: PktId) {
-        let sh = self.sh;
-        let chans = &sh.fabric.channels;
+        let chans = &mut self.fabric.channels;
         let up = chans.up(ch_id);
         let loss = chans.loss_prob(ch_id);
         // Short-circuit keeps the gray counter untouched on dead wires,
@@ -1260,66 +774,66 @@ impl<'a> Lane<'a> {
         let lost = !up
             || (loss > 0.0 && {
                 let draw = chans.gray_bump(ch_id);
-                gray_drop(sh.plan_seed, ch_id, draw, loss)
+                gray_drop(self.plan_seed, ch_id, draw, loss)
             });
         if lost {
             chans.add_fault_drop(ch_id);
-            let (flow, seq, is_ack) = {
-                let p = self.st.pkts.get(id);
-                (p.flow, p.seq, p.is_ack)
-            };
-            self.st.pkts.free(id);
-            if sh.trace_on {
-                self.trace(TraceEvent::DropFault {
-                    ch: ch_id,
-                    flow,
-                    seq,
-                    is_ack,
-                });
-            }
-            self.note_fault_hit(flow);
+            self.drop_fault(ch_id, id);
             return;
         }
+        // The offer may free the packet, so read its identity first.
         let (flow, seq, is_ack) = {
-            let p = self.st.pkts.get(id);
+            let p = self.pkts.get(id);
             (p.flow, p.seq, p.is_ack)
         };
-        let (offer, out) = chans.offer(ch_id, id, &mut self.st.pkts);
-        if sh.trace_on {
+        let (offer, out) = chans.offer(ch_id, id, &mut self.pkts);
+        if self.trace_on {
             match offer {
                 Offer::Queued => {
                     let qlen = chans.queue_len(ch_id) as u32;
                     let qbytes = chans.queue_bytes(ch_id);
-                    self.trace(TraceEvent::Enqueue {
+                    self.tracer.event(
+                        self.now,
+                        &TraceEvent::Enqueue {
+                            ch: ch_id,
+                            flow,
+                            seq,
+                            is_ack,
+                            qlen,
+                            qbytes,
+                        },
+                    );
+                }
+                Offer::Dropped => self.tracer.event(
+                    self.now,
+                    &TraceEvent::DropCongestion {
                         ch: ch_id,
                         flow,
                         seq,
                         is_ack,
-                        qlen,
-                        qbytes,
-                    });
-                }
-                Offer::Dropped => self.trace(TraceEvent::DropCongestion {
-                    ch: ch_id,
-                    flow,
-                    seq,
-                    is_ack,
-                }),
+                    },
+                ),
                 Offer::StartTx => {}
             }
             if out.marked {
-                self.trace(TraceEvent::EcnMark {
-                    ch: ch_id,
-                    flow,
-                    seq,
-                });
+                self.tracer.event(
+                    self.now,
+                    &TraceEvent::EcnMark {
+                        ch: ch_id,
+                        flow,
+                        seq,
+                    },
+                );
             }
             for &(vf, vs) in &out.evicted {
-                self.trace(TraceEvent::DropEviction {
-                    ch: ch_id,
-                    flow: vf,
-                    seq: vs,
-                });
+                self.tracer.event(
+                    self.now,
+                    &TraceEvent::DropEviction {
+                        ch: ch_id,
+                        flow: vf,
+                        seq: vs,
+                    },
+                );
             }
         }
         if offer == Offer::StartTx {
@@ -1327,50 +841,48 @@ impl<'a> Lane<'a> {
         }
     }
 
-    fn on_deliver(&mut self, id: PktId) {
-        let sh = self.sh;
-        let chans = &sh.fabric.channels;
-        let (ch, flow, seq, is_ack) = {
-            let p = self.st.pkts.get(id);
-            (p.path[p.hop as usize], p.flow, p.seq, p.is_ack)
-        };
-        debug_assert_eq!(
-            self.shard,
-            sh.shard_of_node(chans.to_node[ch as usize]),
-            "delivery landed off-shard"
-        );
-        if !chans.up(ch) {
-            // The wire died while this packet was in flight (or queued
-            // behind the transmitter): it is lost. The counter bump is
-            // deferred to the barrier — the channel belongs to the
-            // sending shard.
-            self.st.pkts.free(id);
-            self.st.remote_fault_drops.push(ch);
-            if sh.trace_on {
-                self.trace(TraceEvent::DropFault {
+    /// Frees a packet lost to a fault on channel `ch` (already counted
+    /// there), traces the loss, and notes the flow's first fault hit.
+    fn drop_fault(&mut self, ch: u32, id: PktId) {
+        let p = self.pkts.get(id);
+        let (flow, seq, is_ack) = (p.flow, p.seq, p.is_ack);
+        self.pkts.free(id);
+        if self.trace_on {
+            self.tracer.event(
+                self.now,
+                &TraceEvent::DropFault {
                     ch,
                     flow,
                     seq,
                     is_ack,
-                });
-            }
-            self.note_fault_hit(flow);
+                },
+            );
+        }
+        self.note_fault_hit(flow);
+    }
+
+    fn on_deliver(&mut self, id: PktId) {
+        let p = self.pkts.get(id);
+        let (ch, flow, seq, is_ack) = (p.path[p.hop as usize], p.flow, p.seq, p.is_ack);
+        if !self.fabric.channels.up(ch) {
+            // The wire died while this packet was in flight (or queued
+            // behind the transmitter): it is lost.
+            self.fabric.channels.add_fault_drop(ch);
+            self.drop_fault(ch, id);
             return;
         }
-        let node = chans.to_node[ch as usize];
-        if node < sh.fabric.num_switches {
+        let node = self.fabric.channels.to_node[ch as usize];
+        let p = self.pkts.get_mut(id);
+        p.hop += 1;
+        if node < self.fabric.num_switches {
             // Switch: source-routed forward onto the next channel.
-            let next = {
-                let p = self.st.pkts.get_mut(id);
-                p.hop += 1;
-                p.path[p.hop as usize]
-            };
+            let next = p.path[p.hop as usize];
             self.send_on(next, id);
         } else {
-            self.st.pkts.get_mut(id).hop += 1;
-            self.st.delivered += 1;
-            if sh.trace_on {
-                self.trace(TraceEvent::Deliver { flow, seq, is_ack });
+            self.pkts_delivered += 1;
+            if self.trace_on {
+                self.tracer
+                    .event(self.now, &TraceEvent::Deliver { flow, seq, is_ack });
             }
             if is_ack {
                 self.on_ack(id);
@@ -1381,27 +893,24 @@ impl<'a> Lane<'a> {
     }
 
     fn on_data(&mut self, id: PktId) {
-        let sh = self.sh;
-        let (fid, seq, ecn_ce, ts) = {
-            let p = self.st.pkts.get(id);
-            (p.flow, p.seq, p.ecn_ce, p.ts)
-        };
-        let path = self.st.pkts.get(id).path.clone();
+        let p = self.pkts.get(id);
+        let (fid, seq, ecn_ce, ts) = (p.flow, p.seq, p.ecn_ce, p.ts);
+        let path = p.path.clone();
         // The data packet's arena slot is released before the ACK is
         // allocated, so (LIFO free list) the ACK usually reuses it.
-        self.st.pkts.free(id);
-        let rx = self.rx(fid);
+        self.pkts.free(id);
+        let rx = &mut self.rx[fid as usize];
         if rx.failed {
             return;
         }
-        debug_assert_eq!(sh.host_node(rx.dst_server), {
+        debug_assert_eq!(self.fabric.num_switches + rx.dst_server, {
             let last = *path.last().unwrap();
-            sh.fabric.channels.to_node[last as usize]
+            self.fabric.channels.to_node[last as usize]
         });
         if rx.finished_ns.is_none() {
             if rx.rcv_bitmap.is_empty() {
-                // Lazily sized at the first arrival (the sender shard
-                // can't touch receiver state at flow start).
+                // Sized at the first arrival, so flows that never
+                // deliver anything allocate nothing.
                 rx.rcv_bitmap = vec![0u64; (rx.total_pkts as usize).div_ceil(64)];
             }
             rx.rcv_mark(seq);
@@ -1410,10 +919,11 @@ impl<'a> Lane<'a> {
                 rx.rcv_bitmap = Vec::new();
                 let fct_ns = self.now - rx.start_ns;
                 if rx.in_window {
-                    self.st.window_finished += 1;
+                    self.window_remaining -= 1;
                 }
-                if sh.trace_on {
-                    self.trace(TraceEvent::FlowFinish { flow: fid, fct_ns });
+                if self.trace_on {
+                    self.tracer
+                        .event(self.now, &TraceEvent::FlowFinish { flow: fid, fct_ns });
                 }
             }
         }
@@ -1422,14 +932,14 @@ impl<'a> Lane<'a> {
             Some((fwd, rev)) if Arc::ptr_eq(fwd, &path) => rev.clone(),
             _ => {
                 let rev: ChannelPath = Arc::new(path.iter().rev().map(|c| c ^ 1).collect());
-                rx.rev_cache = Some((path.clone(), rev.clone()));
+                rx.rev_cache = Some((path, rev.clone()));
                 rev
             }
         };
         let first = rev[0];
         let ack_seq = rx.rcv_cum;
-        let ack_bytes = sh.cfg.ack_bytes;
-        let ack = self.st.pkts.alloc(Packet {
+        let ack_bytes = self.cfg.ack_bytes;
+        let ack = self.pkts.alloc(Packet {
             flow: fid,
             seq: ack_seq,
             bytes: ack_bytes,
@@ -1441,26 +951,26 @@ impl<'a> Lane<'a> {
             prio: 0,
             path: rev,
         });
-        self.st.sent += 1;
-        if sh.trace_on {
-            self.trace(TraceEvent::Send {
-                flow: fid,
-                seq: ack_seq,
-                is_ack: true,
-                bytes: ack_bytes,
-            });
+        self.pkts_sent += 1;
+        if self.trace_on {
+            self.tracer.event(
+                self.now,
+                &TraceEvent::Send {
+                    flow: fid,
+                    seq: ack_seq,
+                    is_ack: true,
+                    bytes: ack_bytes,
+                },
+            );
         }
         self.send_on(first, ack);
     }
 
     fn on_ack(&mut self, id: PktId) {
-        let sh = self.sh;
-        let (fid, c, ack_ecn, ts) = {
-            let a = self.st.pkts.get(id);
-            (a.flow, a.seq, a.ack_ecn, a.ts)
-        };
-        self.st.pkts.free(id);
-        let f = self.flow(fid);
+        let a = self.pkts.get(id);
+        let (fid, c, ack_ecn, ts) = (a.flow, a.seq, a.ack_ecn, a.ts);
+        self.pkts.free(id);
+        let f = &mut self.flows[fid as usize];
         if f.failed || f.acked >= f.total_pkts {
             return; // sender already done (or flow terminated)
         }
@@ -1468,13 +978,15 @@ impl<'a> Lane<'a> {
             // Engine-side accounting of forward progress (independent of
             // the transport's window reaction).
             let newly = c - f.acked;
-            let mss64 = sh.cfg.mss as u64;
+            let mss64 = self.cfg.mss as u64;
             // Goodput timeline: credit this ms bin with the new bytes.
             let before = (f.acked as u64 * mss64).min(f.size_bytes);
             let after = (c as u64 * mss64).min(f.size_bytes);
-            self.st
-                .goodput
-                .push(((self.now / MS) as u32, after - before));
+            let bin = (self.now / MS) as usize;
+            if self.goodput_bins.len() <= bin {
+                self.goodput_bins.resize(bin + 1, 0);
+            }
+            self.goodput_bins[bin] += after - before;
             if f.fault_hit_ns.is_some() && f.recovery_ns.is_none() {
                 // First forward progress after a fault-induced loss.
                 f.recovery_ns = Some(self.now);
@@ -1486,17 +998,17 @@ impl<'a> Lane<'a> {
             }
         }
         let rtt_ns = self.now - ts;
-        let act = sh.transport.on_ack(f, c, ack_ecn, rtt_ns, &sh.cfg);
-        if sh.trace_on {
+        let act = self.transport.on_ack(f, c, ack_ecn, rtt_ns, &self.cfg);
+        if self.trace_on {
             // The window value is reported after the transport's reaction.
-            let cwnd_bytes = f.cwnd as u64;
-            self.trace(TraceEvent::Ack {
+            let ev = TraceEvent::Ack {
                 flow: fid,
                 cum: c,
                 ecn: ack_ecn,
                 rtt_ns,
-                cwnd_bytes,
-            });
+                cwnd_bytes: f.cwnd as u64,
+            };
+            self.tracer.event(self.now, &ev);
         }
         if act.rearm_rto {
             self.arm_rto(fid);
@@ -1510,21 +1022,19 @@ impl<'a> Lane<'a> {
     }
 
     fn arm_rto(&mut self, fid: u32) {
-        let f = self.flow(fid);
+        let f = &mut self.flows[fid as usize];
         f.rto_epoch = f.rto_epoch.wrapping_add(1);
-        let rto = ((2.0 * f.srtt) as Ns).max(self.sh.cfg.min_rto_ns) * f.rto_backoff as Ns;
-        let epoch = f.rto_epoch;
-        self.schedule(self.now + rto, Ev::Rto(fid, epoch));
+        let rto = ((2.0 * f.srtt) as Ns).max(self.cfg.min_rto_ns) * f.rto_backoff as Ns;
+        self.queue.push(self.now + rto, Ev::Rto(fid, f.rto_epoch));
     }
 
     fn on_rto(&mut self, fid: u32, epoch: u32) {
-        let sh = self.sh;
-        let f = self.flow(fid);
+        let f = &mut self.flows[fid as usize];
         if f.rto_epoch != epoch || f.acked >= f.total_pkts || f.failed {
             return;
         }
         // The transport decides the window reaction...
-        sh.transport.on_timeout(f, &sh.cfg);
+        self.transport.on_timeout(f, &self.cfg);
         // ...the engine does the transport-independent go-back-N: rewind,
         // back the timer off, force a fresh flowlet (the old path may be
         // the congested one).
@@ -1536,30 +1046,35 @@ impl<'a> Lane<'a> {
         // hash would keep landing on, the salt steers the retransmission
         // onto a different equal-cost choice without control-plane help.
         f.path_salt = f.path_salt.wrapping_add(1);
-        if sh.trace_on {
+        if self.trace_on {
             let (backoff, salt) = (f.rto_backoff, f.path_salt);
-            self.trace(TraceEvent::Rto { flow: fid, backoff });
-            self.trace(TraceEvent::PathReselect { flow: fid, salt });
+            self.tracer
+                .event(self.now, &TraceEvent::Rto { flow: fid, backoff });
+            self.tracer
+                .event(self.now, &TraceEvent::PathReselect { flow: fid, salt });
         }
         self.arm_rto(fid);
         self.pump(fid);
     }
 
     /// Records the first fault-induced loss a flow suffers, anchoring the
-    /// recovery-latency measurement. Deferred to the barrier: the loss
-    /// may be observed on a shard that owns neither flow half.
+    /// recovery-latency measurement.
     fn note_fault_hit(&mut self, fid: u32) {
-        self.st.fault_hits.push((fid, self.now));
+        let f = &mut self.flows[fid as usize];
+        if self.rx[fid as usize].finished_ns.is_none() && !f.failed && f.fault_hit_ns.is_none() {
+            f.fault_hit_ns = Some(self.now);
+        }
     }
 
     fn pump(&mut self, fid: u32) {
+        let mss = self.cfg.mss as f64;
         loop {
-            let f = self.flow(fid);
+            let f = &mut self.flows[fid as usize];
             if f.next_seq >= f.total_pkts {
                 break;
             }
-            let inflight = (f.next_seq - f.acked) as f64 * self.sh.cfg.mss as f64;
-            if inflight + self.sh.cfg.mss as f64 > f.cwnd + 0.5 {
+            let inflight = (f.next_seq - f.acked) as f64 * mss;
+            if inflight + mss > f.cwnd + 0.5 {
                 break;
             }
             let seq = f.next_seq;
@@ -1569,10 +1084,8 @@ impl<'a> Lane<'a> {
     }
 
     fn send_data(&mut self, fid: u32, seq: u32) {
-        let sh = self.sh;
-        let gap = sh.cfg.flowlet_gap_ns;
-        let f = self.flow(fid);
-        let needs_new = f.cur_path.is_none() || self.now - f.last_send_ns > gap;
+        let f = &self.flows[fid as usize];
+        let needs_new = f.cur_path.is_none() || self.now - f.last_send_ns > self.cfg.flowlet_gap_ns;
         if needs_new {
             // path_salt is 0 until the first RTO, keeping fault-free runs
             // byte-identical to the unsalted flowlet hash.
@@ -1581,20 +1094,24 @@ impl<'a> Lane<'a> {
                 f.flowlet_count,
                 0xF10_1E7,
             );
-            let bytes_sent = f.next_seq as u64 * sh.cfg.mss as u64;
-            let path = self.build_path(&*f, key, bytes_sent);
+            let bytes_sent = f.next_seq as u64 * self.cfg.mss as u64;
+            let path = self.build_path(f, key, bytes_sent);
+            let f = &mut self.flows[fid as usize];
             f.flowlet_count += 1;
             let flowlet = f.flowlet_count;
             match path {
                 Some(p) => {
                     let hops = p.len() as u32;
                     f.cur_path = Some(Arc::new(p));
-                    if sh.trace_on {
-                        self.trace(TraceEvent::FlowletSwitch {
-                            flow: fid,
-                            flowlet,
-                            hops,
-                        });
+                    if self.trace_on {
+                        self.tracer.event(
+                            self.now,
+                            &TraceEvent::FlowletSwitch {
+                                flow: fid,
+                                flowlet,
+                                hops,
+                            },
+                        );
                     }
                 }
                 None => {
@@ -1603,27 +1120,30 @@ impl<'a> Lane<'a> {
                     // RTO rewinds and retries until a recovery restores
                     // the route or the flow is failed.
                     f.cur_path = None;
-                    self.st.noroute += 1;
-                    if sh.trace_on {
-                        self.trace(TraceEvent::DropNoRoute { flow: fid });
+                    self.faults.noroute_drops += 1;
+                    if self.trace_on {
+                        self.tracer
+                            .event(self.now, &TraceEvent::DropNoRoute { flow: fid });
                     }
                     self.note_fault_hit(fid);
                     return;
                 }
             }
         }
-        sh.transport.on_send(f, seq, &sh.cfg);
+        let cfg = &self.cfg;
+        let f = &mut self.flows[fid as usize];
+        self.transport.on_send(f, seq, cfg);
         f.last_send_ns = self.now;
         let payload = if seq + 1 == f.total_pkts {
-            (f.size_bytes - seq as u64 * sh.cfg.mss as u64) as u32
+            (f.size_bytes - seq as u64 * cfg.mss as u64) as u32
         } else {
-            sh.cfg.mss
+            cfg.mss
         };
-        let prio = sh.transport.priority(&*f, &sh.cfg);
+        let prio = self.transport.priority(f, cfg);
         let path = f.cur_path.clone().unwrap();
         let first = path[0];
         let bytes = payload + HEADER_BYTES;
-        let id = self.st.pkts.alloc(Packet {
+        let id = self.pkts.alloc(Packet {
             flow: fid,
             seq,
             bytes,
@@ -1635,14 +1155,17 @@ impl<'a> Lane<'a> {
             prio,
             path,
         });
-        self.st.sent += 1;
-        if sh.trace_on {
-            self.trace(TraceEvent::Send {
-                flow: fid,
-                seq,
-                is_ack: false,
-                bytes,
-            });
+        self.pkts_sent += 1;
+        if self.trace_on {
+            self.tracer.event(
+                self.now,
+                &TraceEvent::Send {
+                    flow: fid,
+                    seq,
+                    is_ack: false,
+                    bytes,
+                },
+            );
         }
         self.send_on(first, id);
     }
@@ -1650,17 +1173,16 @@ impl<'a> Lane<'a> {
     /// Oracle scoring: queued bytes along each KSP candidate, walking the
     /// candidate's links into directed channels from `src`.
     fn least_queued(&self, ksp: &KspSelector, src: NodeId, dst: NodeId, key: u64) -> Vec<u32> {
-        let sh = self.sh;
         let candidates = ksp.candidate_paths(src, dst);
         let mut best: Option<(u64, u64, &Vec<u32>)> = None;
         for (i, links) in candidates.iter().enumerate() {
             let mut u = src;
             let mut queued = 0u64;
             for &l in links {
-                let link = sh.fabric.links[l as usize];
+                let link = self.fabric.links[l as usize];
                 let ch = if link.a == u { 2 * l } else { 2 * l + 1 };
                 u = link.other(u);
-                queued += sh.fabric.channels.queue_bytes(ch);
+                queued += self.fabric.channels.queue_bytes(ch);
             }
             let tie = hash3(key, i as u64, 0x07AC1E);
             if best.is_none_or(|(q, t, _)| (queued, tie) < (q, t)) {
@@ -1673,27 +1195,28 @@ impl<'a> Lane<'a> {
     /// Builds the channel path server→…→server for a flowlet, or `None`
     /// when the selector has no route for the pair (post-fault view).
     fn build_path(&self, f: &Flow, key: u64, bytes_sent: u64) -> Option<Vec<u32>> {
-        let sh = self.sh;
-        let up = sh.fabric.host_ch_base + 2 * f.src_server;
-        let down = sh.fabric.host_ch_base + 2 * f.dst_server + 1;
+        let fabric = &self.fabric;
+        let up = fabric.host_ch_base + 2 * f.src_server;
+        let down = fabric.host_ch_base + 2 * f.dst_server + 1;
         let mut path = Vec::with_capacity(8);
         path.push(up);
         if f.src_tor != f.dst_tor {
-            let links = match &sh.oracle {
+            let links = match &self.oracle {
                 Some(ksp) => self.least_queued(ksp, f.src_tor, f.dst_tor, key),
-                None => {
-                    // Workers only read the selector during epochs; the
-                    // coordinator only replaces it between them.
-                    let sel = unsafe { &*sh.selector.get() };
-                    sel.select_with_feedback(f.src_tor, f.dst_tor, key, bytes_sent, f.ecn_total)
-                }
+                None => self.selector.select_with_feedback(
+                    f.src_tor,
+                    f.dst_tor,
+                    key,
+                    bytes_sent,
+                    f.ecn_total,
+                ),
             };
             if links.is_empty() {
                 return None;
             }
             let mut u = f.src_tor;
             for l in links {
-                let link = sh.fabric.links[l as usize];
+                let link = fabric.links[l as usize];
                 if link.a == u {
                     path.push(2 * l);
                     u = link.b;
@@ -1841,40 +1364,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn sharded_run_is_byte_identical_across_thread_counts() {
-        // The cornerstone of the parallel engine: the schedule is a pure
-        // function of the 8-way shard partition, so any worker count
-        // produces identical results — not just FCTs but event and mark
-        // counts too.
-        let t = FatTree::full(4).build();
-        let run = |threads: u32| {
-            let suite = RoutingSuite::new(&t);
-            let cfg = SimConfig {
-                threads,
-                ..Default::default()
-            };
-            let mut sim = Simulator::new(&t, Box::new(suite.ecmp()), cfg);
-            sim.inject(&[
-                flow(0.0, (0, 0), (12, 0), 1_000_000),
-                flow(0.0, (4, 0), (12, 0), 2_000_000),
-                flow(0.0001, (4, 1), (8, 1), 300_000),
-                flow(0.0002, (8, 0), (0, 1), 50_000),
-            ]);
-            let rec = sim.run(10 * SEC);
-            (
-                rec.iter().map(|r| r.fct_ns).collect::<Vec<_>>(),
-                sim.events_processed(),
-                sim.total_marks(),
-                sim.conservation(),
-            )
-        };
-        let base = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), base, "threads={threads} diverged");
-        }
     }
 
     #[test]
@@ -2106,18 +1595,14 @@ mod tests {
     }
 
     #[test]
-    fn gray_loss_identical_across_thread_counts() {
+    fn gray_loss_and_outages_are_deterministic() {
         // Counter-based gray draws are keyed on (plan seed, channel,
-        // per-channel draw index) — no shared RNG stream — so fault
-        // injection is thread-count-invariant too.
+        // per-channel draw index) — no shared RNG stream — so a fault
+        // plan replays exactly.
         let t = FatTree::full(4).build();
-        let run = |threads: u32| {
+        let run = || {
             let suite = RoutingSuite::new(&t);
-            let cfg = SimConfig {
-                threads,
-                ..Default::default()
-            };
-            let mut sim = Simulator::new(&t, Box::new(suite.ecmp()), cfg);
+            let mut sim = Simulator::new(&t, Box::new(suite.ecmp()), SimConfig::default());
             sim.inject(&[
                 flow(0.0, (0, 0), (12, 0), 1_000_000),
                 flow(0.0, (4, 0), (12, 1), 1_000_000),
@@ -2139,10 +1624,7 @@ mod tests {
                 sim.events_processed(),
             )
         };
-        let base = run(1);
-        for threads in [2, 4] {
-            assert_eq!(run(threads), base, "threads={threads} diverged");
-        }
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -2214,12 +1696,11 @@ mod tests {
         // just before recovery and check the cap was reached.
         sim.run(399 * MS);
         assert_eq!(
-            sim.flow_ref(0).rto_backoff,
-            64,
+            sim.flows[0].rto_backoff, 64,
             "backoff should saturate at 64"
         );
         assert!(
-            sim.flow_ref(0).path_salt > 0,
+            sim.flows[0].path_salt > 0,
             "RTOs must re-salt the path hash"
         );
         // Fresh sim, same plan, run to completion: new ACKs reset backoff.
@@ -2229,11 +1710,7 @@ mod tests {
         sim.set_fault_plan(&FaultPlan::new().link_down(0, 0).link_up(400 * MS, 0));
         let rec = sim.run(60 * SEC);
         assert!(rec[0].fct_ns.is_some());
-        assert_eq!(
-            sim.flow_ref(0).rto_backoff,
-            1,
-            "ACKs must reset the backoff"
-        );
+        assert_eq!(sim.flows[0].rto_backoff, 1, "ACKs must reset the backoff");
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub struct Flow {
     // --- faults ---
     /// Terminated by the simulator: endpoints permanently disconnected,
     /// or still unfinished when the run stopped. Mirrored in
-    /// [`FlowRx::failed`] so the receiver shard never reads sender state.
+    /// [`FlowRx::failed`] so the receive path never reads sender state.
     pub(crate) failed: bool,
     /// When this flow first lost a packet to an injected fault.
     pub(crate) fault_hit_ns: Option<Ns>,
@@ -159,12 +159,10 @@ impl Flow {
     }
 }
 
-/// The receiver half of a flow, split from [`Flow`] so the destination
-/// host's shard owns it exclusively: under the parallel engine the
-/// sender's shard mutates the [`Flow`] while the receiver's shard mutates
-/// the `FlowRx`, and neither reads the other's half mid-epoch. Fields
-/// both sides need (`failed`, `in_window`, timing) are mirrored at
-/// construction or written only at barriers.
+/// The receiver half of a flow: the state the destination host keeps,
+/// apart from the sender's [`Flow`]. Fields both halves need (`failed`,
+/// `in_window`, timing) are mirrored at construction or when the flow is
+/// failed.
 pub(crate) struct FlowRx {
     pub(crate) total_pkts: u32,
     pub(crate) dst_server: u32,
@@ -177,7 +175,7 @@ pub(crate) struct FlowRx {
     /// ACKs reuse one allocation per flowlet.
     pub(crate) rev_cache: Option<(ChannelPath, ChannelPath)>,
     pub(crate) finished_ns: Option<Ns>,
-    /// Barrier-written mirror of [`Flow::failed`].
+    /// Mirror of [`Flow::failed`].
     pub(crate) failed: bool,
 }
 

@@ -6,8 +6,9 @@
 //!
 //! The simulator is layered (see `DESIGN.md` for the full contract):
 //!
-//! - [`engine`] — calendar event queue, clock, and dispatch loop
-//!   ([`Simulator`]), with in-flight packets in a [`PacketArena`] slab;
+//! - [`engine`] — calendar event queue, clock, and the sequential
+//!   dispatch loop ([`Simulator`]), with in-flight packets in a
+//!   [`PacketArena`] slab;
 //! - [`host`] — per-flow state behind the pluggable [`Transport`] trait
 //!   ([`Dctcp`] by default; [`NewReno`] and [`PFabric`] ship too);
 //! - [`switch`] — per-port queues behind the [`QueueDiscipline`] trait
@@ -56,6 +57,8 @@
 //! assert_eq!(m.completed, m.flows);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod calendar;
 pub mod channel;
 pub mod checkpoint;
@@ -63,9 +66,7 @@ pub mod counters;
 pub mod engine;
 pub mod fault;
 pub mod host;
-pub mod mailbox;
 pub mod net;
-pub mod shard;
 pub mod slab;
 pub mod stats;
 pub mod switch;
@@ -78,7 +79,6 @@ pub use counters::{EngineCounters, ShardCounters, WallClockCounters, WALL_CLOCK_
 pub use engine::Simulator;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RemappedSelector};
 pub use host::{AckActions, Dctcp, Flow, NewReno, PFabric, Transport};
-pub use shard::NUM_SHARDS;
 pub use slab::{PacketArena, PktId};
 pub use stats::{
     compute_metrics, compute_metrics_with_dists, percentile, ChannelCounters, DropCounters,

@@ -373,8 +373,8 @@ impl Fabric {
         let mut channels = Channels::new(cfg.mtu, cfg.ack_bytes);
         for l in topo.links() {
             let gbps = cfg.link_gbps * l.capacity;
-            channels.push(l.a, l.b, gbps, cfg.prop_delay_ns, disc(link_cap, ecn_at));
-            channels.push(l.b, l.a, gbps, cfg.prop_delay_ns, disc(link_cap, ecn_at));
+            channels.push(l.b, gbps, cfg.prop_delay_ns, disc(link_cap, ecn_at));
+            channels.push(l.a, gbps, cfg.prop_delay_ns, disc(link_cap, ecn_at));
         }
         let host_ch_base = channels.len() as u32;
         let num_switches = topo.num_nodes() as u32;
@@ -393,7 +393,6 @@ impl Fabric {
                 // port so DCTCP self-paces instead of overflowing the host
                 // queue (real stacks backpressure at the qdisc).
                 channels.push(
-                    server_node,
                     rack,
                     cfg.server_link_gbps,
                     cfg.prop_delay_ns,
@@ -401,7 +400,6 @@ impl Fabric {
                 );
                 // Down: ToR → server (a real switch port: ECN + drops).
                 channels.push(
-                    rack,
                     server_node,
                     cfg.server_link_gbps,
                     cfg.prop_delay_ns,
@@ -435,8 +433,7 @@ impl Fabric {
     /// Recomputes every channel's up flag from the link and switch fault
     /// state. Downed channels keep serializing their queues — those
     /// packets drain onto the dead wire and are dropped at delivery.
-    /// Coordinator-only: `up` is a barrier field (see [`Channels`]).
-    pub(crate) fn apply_fault_state(&self, down_links: &[bool], down_sw: &[bool]) {
+    pub(crate) fn apply_fault_state(&mut self, down_links: &[bool], down_sw: &[bool]) {
         for (l, link) in self.links.iter().enumerate() {
             let up = !down_links[l] && !down_sw[link.a as usize] && !down_sw[link.b as usize];
             self.channels.set_up(2 * l as u32, up);

@@ -157,16 +157,10 @@ pub struct SimConfig {
     /// (0 disables). Guards against fault scenarios that would otherwise
     /// spin forever instead of failing loudly.
     pub max_events: u64,
-    /// Worker threads executing the engine's fixed shard set (clamped to
-    /// `1..=NUM_SHARDS`). The shard decomposition — and therefore every
-    /// simulated byte — is identical at every setting; `threads` only
-    /// chooses how many OS threads drain the shards each epoch.
-    pub threads: u32,
-    /// Collect the wall-clock counter set (per-shard drain time, barrier
-    /// wait, mailbox flush — see [`crate::counters`]). Off by default so
-    /// the epoch loop does no clock reads. Deliberately excluded from the
-    /// checkpoint config fingerprint: like `threads`, it cannot affect
-    /// simulated output.
+    /// Collect the wall-clock counter set (the event loop's drain time —
+    /// see [`crate::counters`]). Off by default so a run does no clock
+    /// reads. Deliberately excluded from the checkpoint config
+    /// fingerprint: it cannot affect simulated output.
     pub wall_counters: bool,
 }
 
@@ -191,7 +185,6 @@ impl Default for SimConfig {
             pfabric_cwnd_pkts: 18,
             reconverge_delay_ns: MS,
             max_events: 0,
-            threads: 1,
             wall_counters: false,
         }
     }
@@ -219,14 +212,7 @@ impl SimConfig {
         self
     }
 
-    /// Selects how many worker threads drain the shard set each epoch.
-    /// Simulated results are byte-identical at every setting.
-    pub fn with_threads(mut self, n: u32) -> Self {
-        self.threads = n;
-        self
-    }
-
-    /// Turns on the wall-clock counter set (drain/barrier/flush timing).
+    /// Turns on the wall-clock counter set (event-loop drain timing).
     /// Simulated results are unaffected.
     pub fn with_wall_counters(mut self) -> Self {
         self.wall_counters = true;

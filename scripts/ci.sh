@@ -65,31 +65,24 @@ cargo run --release --bin dcnstat -- util "$obs_dir/ts_a.jsonl" > "$obs_dir/util
 test -s "$obs_dir/util.tsv"
 rm -rf "$obs_dir"
 
-echo "==> parallel engine gate (threads 1/2/4: all artifacts byte-identical)"
-par_dir="$(mktemp -d)"
-for n in 1 2 4; do
-  cargo run --release --bin dcnsim -- examples/configs/trace_tiny.json \
-    --threads "$n" --json \
-    --trace "$par_dir/trace_$n.jsonl" --telemetry "$par_dir/ts_$n.jsonl" \
-    --manifest "$par_dir/man_$n.json" > "$par_dir/report_$n.json"
+echo "==> determinism gate (same config twice: all artifacts byte-identical)"
+det_dir="$(mktemp -d)"
+for run in a b; do
+  cargo run --release --bin dcnsim -- examples/configs/trace_tiny.json --json \
+    --trace "$det_dir/trace_$run.jsonl" --telemetry "$det_dir/ts_$run.jsonl" \
+    --manifest "$det_dir/man_$run.json" > "$det_dir/report_$run.json"
 done
-# The sharded schedule is thread-count-invariant: every artifact — metrics
-# report, event trace, telemetry series — must match byte-for-byte, and
-# the manifests must agree on every simulated field (the deterministic
-# engine counter block included; only WALL_CLOCK_FIELDS leaves may vary).
-for n in 2 4; do
-  cmp "$par_dir/report_1.json" "$par_dir/report_$n.json"
-  cmp "$par_dir/trace_1.jsonl" "$par_dir/trace_$n.jsonl"
-  cmp "$par_dir/ts_1.jsonl" "$par_dir/ts_$n.jsonl"
-  cargo run --release --bin dcnstat -- diff "$par_dir/man_1.json" "$par_dir/man_$n.json"
-done
-# Per-shard balance table renders from the 2-thread run's manifest.
-cargo run --release --bin dcnstat -- shards "$par_dir/man_2.json" > "$par_dir/shards.tsv"
-grep -q '^epochs ' "$par_dir/shards.tsv"
-test "$(grep -cE '^[0-9]+\s' "$par_dir/shards.tsv")" -eq 8
-rm -rf "$par_dir"
+# Same seed, same config: every artifact — metrics report, event trace,
+# telemetry series — must match byte-for-byte, and the manifests must
+# agree on every simulated field (the deterministic engine counter block
+# included; only WALL_CLOCK_FIELDS leaves may vary).
+cmp "$det_dir/report_a.json" "$det_dir/report_b.json"
+cmp "$det_dir/trace_a.jsonl" "$det_dir/trace_b.jsonl"
+cmp "$det_dir/ts_a.jsonl" "$det_dir/ts_b.jsonl"
+cargo run --release --bin dcnstat -- diff "$det_dir/man_a.json" "$det_dir/man_b.json"
+rm -rf "$det_dir"
 
-echo "==> parallel determinism property sweep (random topo/transport/chaos)"
+echo "==> determinism property sweep (random topo/transport/chaos, resume at random t)"
 cargo test --release -q --test parallel_determinism
 
 echo "==> dcnsim error handling (clean failure, no panic)"
@@ -338,7 +331,7 @@ cargo run --profile relcheck --quiet --bin dcnrun -- chaos --plans 5 --seed 2
 echo "==> tracing overhead gate (NopTracer and disarmed failpoints must stay free)"
 cargo run --release -p dcn-bench --bin trace_overhead -- --check > /dev/null
 
-echo "==> engine perf gate (BENCH_sim.json: simulated fields exact, rate floor, shard scaling thread-invariant)"
+echo "==> engine perf gate (BENCH_sim.json: simulated fields exact, rate floor)"
 # Re-baseline deliberate engine changes with:
 #   cargo run --release -p dcn-bench --bin bench -- perf --bless
 # and commit the updated BENCH_sim.json next to the code that moved it.

@@ -48,7 +48,7 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     })
 }
 
-const USAGE: &str = "usage: dcnsim <config.json> [--json] [--threads N] [--dot out.dot] \
+const USAGE: &str = "usage: dcnsim <config.json> [--json] [--dot out.dot] \
      [--trace out.jsonl] [--telemetry out.jsonl] [--manifest out.json] | dcnsim --print-example";
 
 fn main() {
@@ -63,24 +63,14 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--dot" | "--trace" | "--telemetry" | "--manifest" | "--threads" => i += 1, // skip its value
+            "--dot" | "--trace" | "--telemetry" | "--manifest" => i += 1, // skip its value
             a if !a.starts_with("--") && path.is_none() => path = Some(&args[i]),
             _ => {}
         }
         i += 1;
     }
     let Some(path) = path else { fail(USAGE) };
-    let mut exp = load_experiment(path).unwrap_or_else(|e| fail(&e));
-    // Worker threads for the sharded engine; results are byte-identical
-    // at every setting. The flag wins over the config's "threads" key.
-    if let Some(v) = flag_value(&args, "--threads") {
-        let n: u32 = v
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| fail("--threads takes a positive integer"));
-        exp.sim.threads = n;
-    }
+    let exp = load_experiment(path).unwrap_or_else(|e| fail(&e));
 
     eprintln!(
         "topology: {} ({} switches, {} servers)",

@@ -103,7 +103,6 @@ const SIM_KEYS: &[&str] = &[
     "transport",
     "queue",
     "pfabric_cwnd_pkts",
-    "threads",
     "wall_counters",
 ];
 
@@ -207,8 +206,15 @@ pub fn validate_keys(cfg: &Json) -> Result<(), String> {
         };
         for (k, _) in fields {
             if !SIM_KEYS.contains(&k.as_str()) {
+                // The engine is one sequential loop; parallelism lives
+                // across independent runs.
+                let hint = if k == "threads" {
+                    "; to use more cores, run independent configs with `dcnrun batch --jobs N`"
+                } else {
+                    ""
+                };
                 return Err(format!(
-                    "config: unknown sim key \"{k}\" (expected one of: {})",
+                    "config: unknown sim key \"{k}\" (expected one of: {}){hint}",
                     SIM_KEYS.join(", ")
                 ));
             }
@@ -312,12 +318,6 @@ fn parse_sim(cfg: Option<&Json>) -> Result<SimConfig, String> {
     }
     if let Some(v) = opt_u64(cfg, "pfabric_cwnd_pkts")? {
         c.pfabric_cwnd_pkts = v as u32;
-    }
-    if let Some(v) = opt_u64(cfg, "threads")? {
-        if v == 0 {
-            return Err("config: \"threads\" must be at least 1".to_string());
-        }
-        c.threads = v as u32;
     }
     if cfg.get("wall_counters").and_then(|v| v.as_bool()) == Some(true) {
         c = c.with_wall_counters();
@@ -504,6 +504,14 @@ mod tests {
         let cfg = Json::parse(r#"{"sim": {"ecn_pkts": 4}}"#).unwrap();
         let err = validate_keys(&cfg).unwrap_err();
         assert!(err.contains("unknown sim key \"ecn_pkts\""), "{err}");
+    }
+
+    #[test]
+    fn threads_key_is_rejected_with_a_batch_hint() {
+        let cfg = Json::parse(r#"{"sim": {"threads": 4}}"#).unwrap();
+        let err = validate_keys(&cfg).unwrap_err();
+        assert!(err.contains("unknown sim key \"threads\""), "{err}");
+        assert!(err.contains("dcnrun batch --jobs"), "{err}");
     }
 
     #[test]

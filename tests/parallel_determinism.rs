@@ -1,13 +1,16 @@
-//! The sharded engine's headline property, exercised as a randomized
+//! Determinism of the sequential engine, exercised as a randomized
 //! sweep: for *any* topology, transport, workload, and adversarial fault
-//! plan, running under 2 or 4 worker threads reproduces the
-//! single-thread oracle **byte-for-byte** — identical flow records,
-//! identical JSONL event traces, identical telemetry streams.
+//! plan,
 //!
-//! Thread count only selects how many workers drain the 8 fixed shards;
-//! the event schedule is the same at every setting, so any divergence
-//! here is a real engine bug (a cross-shard event leaking past a
-//! barrier, a merge-order tie broken nondeterministically), not noise.
+//! - running the same seeded scenario twice reproduces it
+//!   **byte-for-byte** — identical flow records, JSONL event traces,
+//!   telemetry streams, and deterministic engine counters;
+//! - pausing at a random simulated time, checkpointing, and resuming in a
+//!   fresh simulator lands on the uninterrupted run exactly, trace and
+//!   telemetry files included.
+//!
+//! Any divergence here is a real engine bug (state outside the
+//! checkpoint, an iteration-order dependence), not noise.
 
 use beyond_fattrees::prelude::*;
 use dcn_rng::Rng;
@@ -20,7 +23,7 @@ struct Artifacts {
     counters: EngineCounters,
 }
 
-/// One fully instrumented run of a scenario at a given thread count.
+/// One fully instrumented run of a scenario.
 fn run_instrumented(
     topo: &Topology,
     cfg: SimConfig,
@@ -73,10 +76,10 @@ fn scenario(seed: u64) -> (Topology, SimConfig, Vec<FlowEvent>, Option<FaultPlan
     (topo, cfg, flows, plan)
 }
 
-/// The sweep: six random scenarios, each run at 1 (oracle), 2, and 4
-/// threads, every artifact compared byte-for-byte.
+/// The sweep: six random scenarios, each run twice, every artifact
+/// compared byte-for-byte.
 #[test]
-fn sharded_runs_match_single_thread_oracle() {
+fn same_seed_runs_are_byte_identical() {
     for seed in 0u64..6 {
         let (topo, cfg, flows, plan) = scenario(seed);
         if flows.is_empty() {
@@ -86,55 +89,38 @@ fn sharded_runs_match_single_thread_oracle() {
             p.validate_schedule(&topo, 80 * MS)
                 .expect("chaos plans must validate");
         }
-        let oracle = run_instrumented(
-            &topo,
-            cfg.with_threads(1),
-            &flows,
-            plan.as_ref(),
-            4 * MS,
-            80 * MS,
+        let run = || run_instrumented(&topo, cfg, &flows, plan.as_ref(), 4 * MS, 80 * MS);
+        let first = run();
+        assert!(!first.trace.is_empty(), "seed {seed}: empty trace");
+        let again = run();
+        assert_eq!(
+            again.records, first.records,
+            "seed {seed}: flow records diverge"
         );
-        assert!(!oracle.trace.is_empty(), "seed {seed}: empty oracle trace");
-        for threads in [2u32, 4] {
-            let got = run_instrumented(
-                &topo,
-                cfg.with_threads(threads),
-                &flows,
-                plan.as_ref(),
-                4 * MS,
-                80 * MS,
-            );
-            assert_eq!(
-                got.records, oracle.records,
-                "seed {seed}: flow records diverge at {threads} threads"
-            );
-            assert_eq!(
-                got.trace, oracle.trace,
-                "seed {seed}: event trace diverges at {threads} threads"
-            );
-            assert_eq!(
-                got.telemetry, oracle.telemetry,
-                "seed {seed}: telemetry diverges at {threads} threads"
-            );
-            // The deterministic counter set is part of the contract too:
-            // shard balance, cross-shard traffic, calendar/arena behavior,
-            // and merge-tie counts may not depend on the thread count.
-            assert_eq!(
-                got.counters, oracle.counters,
-                "seed {seed}: engine counters diverge at {threads} threads"
-            );
-        }
+        assert_eq!(
+            again.trace, first.trace,
+            "seed {seed}: event trace diverges"
+        );
+        assert_eq!(
+            again.telemetry, first.telemetry,
+            "seed {seed}: telemetry diverges"
+        );
+        // The deterministic counter set is part of the contract too:
+        // calendar and arena behavior may not vary between runs.
+        assert_eq!(
+            again.counters, first.counters,
+            "seed {seed}: engine counters diverge"
+        );
     }
 }
 
 /// Counters are simulator state: a snapshot→restore round-trip hands the
-/// resumed engine exactly the counters the paused one held, at any pair
-/// of thread counts.
+/// resumed engine exactly the counters the paused one held.
 #[test]
 fn counters_survive_checkpoint_byte_exactly() {
     let (topo, cfg, flows, plan) = scenario(1); // odd seed: plan is Some
     let plan = plan.expect("odd seed draws a fault plan");
-    let mut paused = Simulator::new(&topo, Routing::Ecmp.selector(&topo), cfg.with_threads(4));
+    let mut paused = Simulator::new(&topo, Routing::Ecmp.selector(&topo), cfg);
     paused.set_window(0, 4 * MS);
     paused.inject(&flows);
     paused.set_fault_plan(&plan);
@@ -146,13 +132,8 @@ fn counters_survive_checkpoint_byte_exactly() {
     assert!(at_pause.events_total() > 0, "pause point saw no events");
     let ckpt = paused.checkpoint().expect("checkpoint");
     drop(paused);
-    let resumed = Simulator::restore(
-        &topo,
-        Routing::Ecmp.selector(&topo),
-        cfg.with_threads(2),
-        &ckpt,
-    )
-    .expect("restore");
+    let resumed =
+        Simulator::restore(&topo, Routing::Ecmp.selector(&topo), cfg, &ckpt).expect("restore");
     assert_eq!(
         resumed.engine_counters(),
         at_pause,
@@ -160,42 +141,77 @@ fn counters_survive_checkpoint_byte_exactly() {
     );
 }
 
-/// Thread count is invisible to the results even mid-plan: snapshotting
-/// a chaos run under one thread count and resuming under another lands
-/// on the oracle's records exactly.
+fn tmp_path(seed: u64, leg: &str, kind: &str) -> String {
+    std::env::temp_dir()
+        .join(format!(
+            "det_sweep_{}_{seed}_{leg}.{kind}",
+            std::process::id()
+        ))
+        .to_string_lossy()
+        .into_owned()
+}
+
+/// Snapshot at a random simulated time (drawn from the seed), resume in a
+/// fresh simulator, and compare against the uninterrupted run: records,
+/// event count, and the file-backed trace and telemetry streams. (The
+/// calendar's ladder-spill count is not compared at the end: a restore
+/// re-files the pending events into a ring sized for them, so later
+/// spills are a layout statistic, not simulated state.)
 #[test]
-fn checkpoint_crosses_thread_counts_under_chaos() {
-    let (topo, cfg, flows, plan) = scenario(1); // odd seed: plan is Some
-    let plan = plan.expect("odd seed draws a fault plan");
-    let build = |threads: u32| {
-        let mut sim = Simulator::new(
-            &topo,
-            Routing::Ecmp.selector(&topo),
-            cfg.with_threads(threads),
-        );
-        sim.set_window(0, 4 * MS);
-        sim.inject(&flows);
-        sim.set_fault_plan(&plan);
-        sim
-    };
-    let straight = build(1).run(80 * MS);
-    let mut paused = build(4);
-    if paused.run_until(2 * MS) {
-        assert_eq!(paused.finish(), straight);
-        return;
+fn snapshot_at_random_t_resumes_identically() {
+    for seed in 0u64..6 {
+        let (topo, cfg, flows, plan) = scenario(seed);
+        if flows.is_empty() {
+            continue;
+        }
+        let build = |leg: &str| {
+            let mut sim = Simulator::new(&topo, Routing::Ecmp.selector(&topo), cfg);
+            sim.set_window(0, 4 * MS);
+            sim.inject(&flows);
+            if let Some(p) = &plan {
+                sim.set_fault_plan(p);
+            }
+            let trace = tmp_path(seed, leg, "trace.jsonl");
+            sim.set_tracer(Box::new(JsonlTracer::create(&trace).expect("open trace")));
+            let tel = tmp_path(seed, leg, "tel.jsonl");
+            sim.set_telemetry(
+                Telemetry::to_file(&tel, DEFAULT_SAMPLE_EVERY_NS).expect("open telemetry"),
+            );
+            (sim, trace, tel)
+        };
+        let (mut straight, trace_a, tel_a) = build("straight");
+        let want = straight.run(80 * MS);
+        let want_events = straight.events_processed();
+        drop(straight);
+
+        let pause = Rng::seed_from_u64(0x7A05E ^ seed).gen_range(1..4 * MS);
+        let (mut paused, trace_b, tel_b) = build("resumed");
+        let got = if paused.run_until(pause) {
+            let rec = paused.finish();
+            assert_eq!(paused.events_processed(), want_events, "seed {seed}");
+            rec
+        } else {
+            let ckpt = paused.checkpoint().expect("checkpoint");
+            drop(paused); // the original process dies after the snapshot
+            let mut resumed = Simulator::restore(&topo, Routing::Ecmp.selector(&topo), cfg, &ckpt)
+                .expect("restore");
+            let rec = resumed.run(80 * MS);
+            assert_eq!(
+                resumed.events_processed(),
+                want_events,
+                "seed {seed}: event count diverges after resuming at t={pause}"
+            );
+            rec
+        };
+        assert_eq!(got, want, "seed {seed}: resume at t={pause} diverged");
+        for (a, b) in [(&trace_a, &trace_b), (&tel_a, &tel_b)] {
+            assert_eq!(
+                std::fs::read(a).expect("read straight leg"),
+                std::fs::read(b).expect("read resumed leg"),
+                "seed {seed}: {b} differs from the uninterrupted run (pause at t={pause})"
+            );
+            let _ = std::fs::remove_file(a);
+            let _ = std::fs::remove_file(b);
+        }
     }
-    let ckpt = paused.checkpoint().expect("checkpoint");
-    drop(paused);
-    let mut resumed = Simulator::restore(
-        &topo,
-        Routing::Ecmp.selector(&topo),
-        cfg.with_threads(2),
-        &ckpt,
-    )
-    .expect("restore at a different thread count");
-    assert_eq!(
-        resumed.run(80 * MS),
-        straight,
-        "snapshot at 4 threads, resume at 2 diverged from the 1-thread oracle"
-    );
 }
