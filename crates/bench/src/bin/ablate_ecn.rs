@@ -2,27 +2,35 @@
 //! packets). Small K trims queues (lower tail latency, less throughput);
 //! large K behaves like plain loss-based TCP.
 
-use dcn_bench::{packet_setup, parse_cli, Series};
+use dcn_bench::{parse_cli, run_points, PacketPoint, Series};
 use dcn_core::{paper_networks, Routing};
 use dcn_sim::SimConfig;
 use dcn_workloads::{active_racks_for_servers, AllToAll, PFabricWebSearch};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
+    let xp = &pair.xpander;
     let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
     let total = pair.fat_tree.num_servers() as u32;
     let n_active = (total as f64 * 0.5).round() as u32;
     let lambda = 167.0 * n_active as f64;
 
-    let racks = active_racks_for_servers(
-        &pair.xpander,
-        &pair.xpander.tors_with_servers(),
-        n_active,
-        true,
-        cli.seed,
-    );
+    let racks = active_racks_for_servers(xp, &xp.tors_with_servers(), n_active, true, cli.seed);
+    let pat = AllToAll::new(xp, racks);
+
+    let ks = [5u32, 10, 20, 40, 80];
+    let points: Vec<_> = ks
+        .iter()
+        .map(|&k| {
+            let cfg = SimConfig {
+                ecn_k_pkts: k,
+                ..Default::default()
+            };
+            PacketPoint::new(format!("k{k}"), xp, Routing::PAPER_HYB, &pat, lambda).with_cfg(cfg)
+        })
+        .collect();
+    let results = run_points(&cli, &sizes, &points);
 
     let mut s = Series::new(
         "ablate_ecn",
@@ -35,22 +43,7 @@ fn main() {
             "marks",
         ],
     );
-    for &k in &[5u32, 10, 20, 40, 80] {
-        eprintln!("K = {k}");
-        let cfg = SimConfig {
-            ecn_k_pkts: k,
-            ..Default::default()
-        };
-        let pat = AllToAll::new(&pair.xpander, racks.clone());
-        let flows = dcn_workloads::generate_flows(&pat, &sizes, lambda, setup.horizon_s, cli.seed);
-        let (m, counters) = dcn_core::run_fct_experiment(
-            &pair.xpander,
-            Routing::PAPER_HYB,
-            cfg,
-            &flows,
-            setup.window,
-            setup.max_time,
-        );
+    for (&k, (m, counters)) in ks.iter().zip(&results) {
         s.push(
             k as f64,
             vec![

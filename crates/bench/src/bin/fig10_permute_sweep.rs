@@ -4,106 +4,59 @@
 //! ECMP on the expander; HYB recovers the fat-tree's performance for
 //! skewed (small-x) matrices.
 
-use dcn_bench::{fct_point, fraction_sweep, packet_setup, parse_cli, Series};
+use dcn_bench::{fraction_sweep, parse_cli, push_fct_panels, run_points, PacketPoint, Series};
 use dcn_core::{paper_networks, Routing};
-use dcn_sim::SimConfig;
 use dcn_workloads::{active_racks_for_servers, PFabricWebSearch, Permutation};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
+    let (ft, xp) = (&pair.fat_tree, &pair.xpander);
     let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
-    let total_servers = pair.fat_tree.num_servers() as u32;
+    let total_servers = ft.num_servers() as u32;
 
-    let mut a = Series::new(
-        "fig10a_permute_avg_fct",
-        "fraction_active",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-    let mut b = Series::new(
-        "fig10b_permute_p99_short_fct",
-        "fraction_active",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-    let mut c = Series::new(
-        "fig10c_permute_long_tput",
-        "fraction_active",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-
-    for x in fraction_sweep(10) {
-        let n_active = ((total_servers as f64) * x).round().max(8.0) as u32;
-        let lambda = 167.0 * n_active as f64;
-        eprintln!("x = {x:.1}: {n_active} active servers, λ = {lambda}");
-
-        let ft_racks = active_racks_for_servers(
-            &pair.fat_tree,
-            &pair.fat_tree.tors_with_servers(),
-            n_active,
-            false,
-            cli.seed,
-        );
-        let xp_racks = active_racks_for_servers(
-            &pair.xpander,
-            &pair.xpander.tors_with_servers(),
-            n_active,
-            true,
-            cli.seed,
-        );
-        let ft_pat = Permutation::new(&pair.fat_tree, ft_racks, cli.seed);
-        let xp_pat = Permutation::new(&pair.xpander, xp_racks, cli.seed);
-
-        let ft = fct_point(
-            &pair.fat_tree,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &ft_pat,
-            &sizes,
-            lambda,
-            setup,
-            cli.seed,
-        );
-        let ecmp = fct_point(
-            &pair.xpander,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            lambda,
-            setup,
-            cli.seed,
-        );
-        let hyb = fct_point(
-            &pair.xpander,
-            Routing::PAPER_HYB,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            lambda,
-            setup,
-            cli.seed,
-        );
-
-        a.push(x, vec![ft.avg_fct_ms, ecmp.avg_fct_ms, hyb.avg_fct_ms]);
-        b.push(
-            x,
-            vec![
-                ft.p99_short_fct_ms,
-                ecmp.p99_short_fct_ms,
-                hyb.p99_short_fct_ms,
-            ],
-        );
-        c.push(
-            x,
-            vec![
-                ft.avg_long_tput_gbps,
-                ecmp.avg_long_tput_gbps,
-                hyb.avg_long_tput_gbps,
-            ],
-        );
+    let xs = fraction_sweep(10);
+    let sweep: Vec<_> = xs
+        .iter()
+        .map(|&x| {
+            let n_active = ((total_servers as f64) * x).round().max(8.0) as u32;
+            let lambda = 167.0 * n_active as f64;
+            eprintln!("x = {x:.1}: {n_active} active servers, λ = {lambda}");
+            let (ft_tors, xp_tors) = (ft.tors_with_servers(), xp.tors_with_servers());
+            let ft_racks = active_racks_for_servers(ft, &ft_tors, n_active, false, cli.seed);
+            let xp_racks = active_racks_for_servers(xp, &xp_tors, n_active, true, cli.seed);
+            let pct = (x * 100.0).round() as u32;
+            let ft_pat = Permutation::new(ft, ft_racks, cli.seed);
+            let xp_pat = Permutation::new(xp, xp_racks, cli.seed);
+            (pct, lambda, ft_pat, xp_pat)
+        })
+        .collect();
+    let mut points = Vec::new();
+    for (pct, lambda, ft_pat, xp_pat) in &sweep {
+        for (name, t, routing, pat) in [
+            ("ft", ft, Routing::Ecmp, ft_pat),
+            ("xp_ecmp", xp, Routing::Ecmp, xp_pat),
+            ("xp_hyb", xp, Routing::PAPER_HYB, xp_pat),
+        ] {
+            let label = format!("{name}_p{pct:03}");
+            points.push(PacketPoint::new(label, t, routing, pat, *lambda));
+        }
     }
-    a.finish(&cli);
-    b.finish(&cli);
-    c.finish(&cli);
+    let results = run_points(&cli, &sizes, &points);
+
+    let mut panels = Series::panels(
+        [
+            "fig10a_permute_avg_fct",
+            "fig10b_permute_p99_short_fct",
+            "fig10c_permute_long_tput",
+        ],
+        "fraction_active",
+        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
+    );
+    for (&x, row) in xs.iter().zip(results.chunks(3)) {
+        push_fct_panels(&mut panels, x, row);
+    }
+    for s in &panels {
+        s.finish(&cli);
+    }
 }

@@ -3,135 +3,60 @@
 //! tracks the full-bandwidth fat-tree; the cheap fat-tree deteriorates
 //! much earlier.
 
-use dcn_bench::{fct_point, packet_setup, parse_cli, rate_sweep, Series};
+use dcn_bench::{parse_cli, push_fct_panels, rate_sweep, run_points, PacketPoint, Series};
 use dcn_core::{paper_networks, Routing};
-use dcn_sim::SimConfig;
 use dcn_topology::fattree::FatTree;
 use dcn_workloads::{active_racks_for_servers, PFabricWebSearch, Permutation};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
-    let ft77_cfg = FatTree::at_cost_fraction(pair.ft_config.k, 0.78);
-    let ft77 = ft77_cfg.build();
+    let (ft, xp) = (&pair.fat_tree, &pair.xpander);
+    let ft77 = FatTree::at_cost_fraction(pair.ft_config.k, 0.78).build();
     let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
 
-    let total_servers = pair.fat_tree.num_servers() as u32;
+    let total_servers = ft.num_servers() as u32;
     let n_active = (total_servers as f64 * 0.31).round() as u32;
     // Paper: λ up to 120K over 1024 servers ≈ 117/server/s (all servers).
     let rates = rate_sweep(117.0 * total_servers as f64, 6);
 
-    let ft_racks = active_racks_for_servers(
-        &pair.fat_tree,
-        &pair.fat_tree.tors_with_servers(),
-        n_active,
-        false,
-        cli.seed,
-    );
-    let xp_racks = active_racks_for_servers(
-        &pair.xpander,
-        &pair.xpander.tors_with_servers(),
-        n_active,
-        true,
-        cli.seed,
-    );
+    let ft_racks = active_racks_for_servers(ft, &ft.tors_with_servers(), n_active, false, cli.seed);
+    let xp_racks = active_racks_for_servers(xp, &xp.tors_with_servers(), n_active, true, cli.seed);
     // The 77% fat-tree has the same ToR layout indices for its first racks.
     let ft77_racks =
         active_racks_for_servers(&ft77, &ft77.tors_with_servers(), n_active, false, cli.seed);
+    let ft_pat = Permutation::new(ft, ft_racks, cli.seed);
+    let xp_pat = Permutation::new(xp, xp_racks, cli.seed);
+    let ft77_pat = Permutation::new(&ft77, ft77_racks, cli.seed);
 
-    let mut a = Series::new(
-        "fig11a_permute_load_avg_fct",
-        "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb", "fat_tree_77pct"],
-    );
-    let mut b = Series::new(
-        "fig11b_permute_load_p99_short_fct",
-        "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb", "fat_tree_77pct"],
-    );
-    let mut c = Series::new(
-        "fig11c_permute_load_long_tput",
-        "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb", "fat_tree_77pct"],
-    );
-
+    let arms = [
+        ("ft", ft, Routing::Ecmp, &ft_pat),
+        ("xp_ecmp", xp, Routing::Ecmp, &xp_pat),
+        ("xp_hyb", xp, Routing::PAPER_HYB, &xp_pat),
+        ("ft77", &ft77, Routing::Ecmp, &ft77_pat),
+    ];
+    let mut points = Vec::new();
     for &rate in &rates {
-        eprintln!("λ = {rate}");
-        let ft_pat = Permutation::new(&pair.fat_tree, ft_racks.clone(), cli.seed);
-        let xp_pat = Permutation::new(&pair.xpander, xp_racks.clone(), cli.seed);
-        let ft77_pat = Permutation::new(&ft77, ft77_racks.clone(), cli.seed);
-
-        let ft = fct_point(
-            &pair.fat_tree,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &ft_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let ecmp = fct_point(
-            &pair.xpander,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let hyb = fct_point(
-            &pair.xpander,
-            Routing::PAPER_HYB,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let cheap = fct_point(
-            &ft77,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &ft77_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-
-        a.push(
-            rate,
-            vec![
-                ft.avg_fct_ms,
-                ecmp.avg_fct_ms,
-                hyb.avg_fct_ms,
-                cheap.avg_fct_ms,
-            ],
-        );
-        b.push(
-            rate,
-            vec![
-                ft.p99_short_fct_ms,
-                ecmp.p99_short_fct_ms,
-                hyb.p99_short_fct_ms,
-                cheap.p99_short_fct_ms,
-            ],
-        );
-        c.push(
-            rate,
-            vec![
-                ft.avg_long_tput_gbps,
-                ecmp.avg_long_tput_gbps,
-                hyb.avg_long_tput_gbps,
-                cheap.avg_long_tput_gbps,
-            ],
-        );
+        for (name, t, routing, pat) in arms {
+            let label = format!("{name}_l{rate:.0}");
+            points.push(PacketPoint::new(label, t, routing, pat, rate));
+        }
     }
-    a.finish(&cli);
-    b.finish(&cli);
-    c.finish(&cli);
+    let results = run_points(&cli, &sizes, &points);
+
+    let mut panels = Series::panels(
+        [
+            "fig11a_permute_load_avg_fct",
+            "fig11b_permute_load_p99_short_fct",
+            "fig11c_permute_load_long_tput",
+        ],
+        "flow_starts_per_s",
+        &["fat_tree", "xpander_ecmp", "xpander_hyb", "fat_tree_77pct"],
+    );
+    for (&rate, row) in rates.iter().zip(results.chunks(4)) {
+        push_fct_panels(&mut panels, rate, row);
+    }
+    for s in &panels {
+        s.finish(&cli);
+    }
 }

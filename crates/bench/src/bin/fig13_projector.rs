@@ -9,14 +9,14 @@
 //! bottlenecks ignored (ProjecToR's method); (c) average FCT with real
 //! 10 Gbps server links.
 
-use dcn_bench::{fct_point, packet_setup, parse_cli, rate_sweep, Series};
+use dcn_bench::{parse_cli, rate_sweep, run_points, PacketPoint, Series};
 use dcn_core::{paper_networks, Routing, Scale};
 use dcn_sim::SimConfig;
 use dcn_topology::xpander::Xpander;
 use dcn_workloads::{PFabricWebSearch, PairSkew};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
     // The flat Xpander of §6.6: same ToR count as the fat-tree's edge
     // layer, double-ish network ports, no other switches.
@@ -30,7 +30,6 @@ fn main() {
     assert_eq!(xp.num_servers(), ft.num_servers());
 
     let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
     let servers = ft.num_servers() as f64;
     // Paper: 2K–14K flow starts/s over 1024 servers. At small scale the
     // same per-server rate leaves every ToR idle (fewer servers behind
@@ -42,76 +41,42 @@ fn main() {
     };
     let rates = rate_sweep(per_server * servers, 6);
 
-    let mut a = Series::new(
-        "fig13a_projector_avg_fct_unconstrained",
-        "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-    let mut b = Series::new(
-        "fig13b_projector_p99_short_unconstrained",
-        "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-    let mut c = Series::new(
-        "fig13c_projector_avg_fct_constrained",
-        "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-
+    let ft_pat = PairSkew::projector_trace(ft, ft.tors_with_servers(), cli.seed);
+    let xp_pat = PairSkew::projector_trace(&xp, xp.tors_with_servers(), cli.seed);
     let unconstrained = SimConfig::default().unconstrained_servers();
     let constrained = SimConfig::default();
+    let arms = [
+        ("ft", ft, Routing::Ecmp, &ft_pat),
+        ("xp_ecmp", &xp, Routing::Ecmp, &xp_pat),
+        ("xp_hyb", &xp, Routing::PAPER_HYB, &xp_pat),
+    ];
+    let mut points = Vec::new();
     for &rate in &rates {
-        eprintln!("λ = {rate}");
-        let ft_pat = PairSkew::projector_trace(ft, ft.tors_with_servers(), cli.seed);
-        let xp_pat = PairSkew::projector_trace(&xp, xp.tors_with_servers(), cli.seed);
-
-        let run = |cfg: SimConfig| {
-            let f = fct_point(
-                ft,
-                Routing::Ecmp,
-                cfg,
-                &ft_pat,
-                &sizes,
-                rate,
-                setup,
-                cli.seed,
-            );
-            let e = fct_point(
-                &xp,
-                Routing::Ecmp,
-                cfg,
-                &xp_pat,
-                &sizes,
-                rate,
-                setup,
-                cli.seed,
-            );
-            let h = fct_point(
-                &xp,
-                Routing::PAPER_HYB,
-                cfg,
-                &xp_pat,
-                &sizes,
-                rate,
-                setup,
-                cli.seed,
-            );
-            (f, e, h)
-        };
-        let (fu, eu, hu) = run(unconstrained);
-        a.push(rate, vec![fu.avg_fct_ms, eu.avg_fct_ms, hu.avg_fct_ms]);
-        b.push(
-            rate,
-            vec![
-                fu.p99_short_fct_ms,
-                eu.p99_short_fct_ms,
-                hu.p99_short_fct_ms,
-            ],
-        );
-        let (fc, ec, hc) = run(constrained);
-        c.push(rate, vec![fc.avg_fct_ms, ec.avg_fct_ms, hc.avg_fct_ms]);
+        for (tag, cfg) in [("u", unconstrained), ("c", constrained)] {
+            for (name, t, routing, pat) in arms {
+                let label = format!("{name}_{tag}_l{rate:.0}");
+                points.push(PacketPoint::new(label, t, routing, pat, rate).with_cfg(cfg));
+            }
+        }
     }
-    a.finish(&cli);
-    b.finish(&cli);
-    c.finish(&cli);
+    let results = run_points(&cli, &sizes, &points);
+
+    let [mut a, mut b, mut c] = Series::panels(
+        [
+            "fig13a_projector_avg_fct_unconstrained",
+            "fig13b_projector_p99_short_unconstrained",
+            "fig13c_projector_avg_fct_constrained",
+        ],
+        "flow_starts_per_s",
+        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
+    );
+    for (&rate, row) in rates.iter().zip(results.chunks(6)) {
+        let (unc, con) = row.split_at(3);
+        a.push_metric(rate, unc, |m| m.avg_fct_ms);
+        b.push_metric(rate, unc, |m| m.p99_short_fct_ms);
+        c.push_metric(rate, con, |m| m.avg_fct_ms);
+    }
+    for s in [a, b, c] {
+        s.finish(&cli);
+    }
 }

@@ -3,9 +3,8 @@
 //! direct link and its FCT blows up with load; VLB spreads over the whole
 //! fabric and keeps up with the full-bandwidth fat-tree.
 
-use dcn_bench::{fct_point, packet_setup, parse_cli, rate_sweep, Series};
+use dcn_bench::{parse_cli, rate_sweep, run_points, PacketPoint, Series};
 use dcn_core::{paper_networks, Routing};
-use dcn_sim::SimConfig;
 use dcn_topology::Topology;
 use dcn_workloads::{ExplicitServers, PFabricWebSearch};
 
@@ -16,10 +15,9 @@ fn adjacent_racks(t: &Topology) -> Vec<u32> {
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
     let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
 
     // The same number of active servers on both networks (the paper uses
     // 10 over two racks; here the most both racks can host).
@@ -41,6 +39,23 @@ fn main() {
     let rate_per_server = 300.0 * (5.0 / per_rack as f64).max(1.0);
     let rates = rate_sweep(rate_per_server * active_servers as f64, 6);
 
+    let (ft, xp) = (&pair.fat_tree, &pair.xpander);
+    let ft_pat = ExplicitServers::first_on_racks(ft, &ft_racks, per_rack);
+    let xp_pat = ExplicitServers::first_on_racks(xp, &xp_racks, per_rack);
+    let arms = [
+        ("ft", ft, Routing::Ecmp, &ft_pat),
+        ("xp_ecmp", xp, Routing::Ecmp, &xp_pat),
+        ("xp_vlb", xp, Routing::Vlb, &xp_pat),
+    ];
+    let mut points = Vec::new();
+    for &rate in &rates {
+        for (name, t, routing, pat) in arms {
+            let label = format!("{name}_l{rate:.0}");
+            points.push(PacketPoint::new(label, t, routing, pat, rate));
+        }
+    }
+    let results = run_points(&cli, &sizes, &points);
+
     let mut s = Series::new(
         "fig7b_neighbor_racks",
         "flow_starts_per_s",
@@ -50,41 +65,8 @@ fn main() {
             "xpander_vlb_avg_fct_ms",
         ],
     );
-    for &rate in &rates {
-        eprintln!("λ = {rate}");
-        let ft_pat = ExplicitServers::first_on_racks(&pair.fat_tree, &ft_racks, per_rack);
-        let ft = fct_point(
-            &pair.fat_tree,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &ft_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let xp_pat = ExplicitServers::first_on_racks(&pair.xpander, &xp_racks, per_rack);
-        let ecmp = fct_point(
-            &pair.xpander,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let vlb = fct_point(
-            &pair.xpander,
-            Routing::Vlb,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        s.push(rate, vec![ft.avg_fct_ms, ecmp.avg_fct_ms, vlb.avg_fct_ms]);
+    for (&rate, row) in rates.iter().zip(results.chunks(3)) {
+        s.push_metric(rate, row, |m| m.avg_fct_ms);
     }
     s.finish(&cli);
 }

@@ -2,20 +2,35 @@
 //! now hurts — its average FCT deteriorates with load while ECMP matches
 //! the full-bandwidth fat-tree.
 
-use dcn_bench::{fct_point, packet_setup, parse_cli, rate_sweep, Series};
+use dcn_bench::{parse_cli, rate_sweep, run_points, PacketPoint, Series};
 use dcn_core::{paper_networks, Routing};
-use dcn_sim::SimConfig;
 use dcn_workloads::{AllToAll, PFabricWebSearch};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
     let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
 
     // Paper sweeps to 300K flow-starts/s over 1024 servers (~293/server/s).
     let servers = pair.fat_tree.num_servers() as f64;
     let rates = rate_sweep(290.0 * servers, 6);
+
+    let (ft, xp) = (&pair.fat_tree, &pair.xpander);
+    let ft_pat = AllToAll::new(ft, ft.tors_with_servers());
+    let xp_pat = AllToAll::new(xp, xp.tors_with_servers());
+    let arms = [
+        ("ft", ft, Routing::Ecmp, &ft_pat),
+        ("xp_ecmp", xp, Routing::Ecmp, &xp_pat),
+        ("xp_vlb", xp, Routing::Vlb, &xp_pat),
+    ];
+    let mut points = Vec::new();
+    for &rate in &rates {
+        for (name, t, routing, pat) in arms {
+            let label = format!("{name}_l{rate:.0}");
+            points.push(PacketPoint::new(label, t, routing, pat, rate));
+        }
+    }
+    let results = run_points(&cli, &sizes, &points);
 
     let mut s = Series::new(
         "fig7c_all_to_all",
@@ -26,41 +41,8 @@ fn main() {
             "xpander_vlb_avg_fct_ms",
         ],
     );
-    for &rate in &rates {
-        eprintln!("λ = {rate}");
-        let ft_pat = AllToAll::new(&pair.fat_tree, pair.fat_tree.tors_with_servers());
-        let ft = fct_point(
-            &pair.fat_tree,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &ft_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let xp_pat = AllToAll::new(&pair.xpander, pair.xpander.tors_with_servers());
-        let ecmp = fct_point(
-            &pair.xpander,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let vlb = fct_point(
-            &pair.xpander,
-            Routing::Vlb,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        s.push(rate, vec![ft.avg_fct_ms, ecmp.avg_fct_ms, vlb.avg_fct_ms]);
+    for (&rate, row) in rates.iter().zip(results.chunks(3)) {
+        s.push_metric(rate, row, |m| m.avg_fct_ms);
     }
     s.finish(&cli);
 }

@@ -108,7 +108,7 @@ fn rate(
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&["bless", "check"]);
     let dir = cli.out_dir.clone().unwrap_or_else(|| "results".to_string());
     let path = format!("{dir}/{BASELINE}");
 

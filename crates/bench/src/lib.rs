@@ -7,11 +7,18 @@
 //! also writes `results/<name>.json` when `--out <dir>` is given.
 //!
 //! Common flags: `--scale tiny|small|paper` (default `small`) selects the
-//! experiment size (DESIGN.md §4, substitution 4), `--seed N` the RNG
-//! seed, `--trace <path>` streams structured simulator events as JSONL,
-//! `--telemetry <path>` samples time-series fabric state, and
-//! `--manifest <path>` writes a run manifest (binaries that run several
-//! experiments suffix each path per run).
+//! experiment size (DESIGN.md §4, substitution 4) and `--seed N` the RNG
+//! seed. A missing or bad value, or a switch the binary does not accept,
+//! is a one-line `error: …` and exit code 1.
+//!
+//! Every packet-level binary describes its sweep as a list of
+//! [`PacketPoint`]s and runs them with [`run_points`]: one [`fct_point`]
+//! per point, spread over `available_parallelism` workers by
+//! [`supervise::run_queue`], results folded back in point order. So every
+//! one of them honours `--trace <path>` (structured simulator events as
+//! JSONL), `--telemetry <path>` (time-series fabric samples) and
+//! `--manifest <path>` (run manifest), writing one file of each per
+//! point, with the point's label inserted before the extension.
 
 pub mod perf;
 pub mod supervise;
@@ -24,18 +31,18 @@ pub struct Cli {
     pub scale: dcn_core::Scale,
     pub seed: u64,
     pub out_dir: Option<String>,
-    /// `--trace <path>`: JSONL event-trace destination. Binaries that run
-    /// more than one experiment derive per-run paths from it (see
-    /// [`Cli::trace_path`]).
+    /// `--trace <path>`: JSONL event-trace destination; every packet point
+    /// derives its own path from it (see [`Cli::trace_path`]).
     pub trace: Option<String>,
     /// `--telemetry <path>`: time-series telemetry JSONL destination,
-    /// per-run derived like `--trace`.
+    /// per-point derived like `--trace`.
     pub telemetry: Option<String>,
-    /// `--manifest <path>`: run-manifest JSON destination, per-run derived
-    /// like `--trace`.
+    /// `--manifest <path>`: run-manifest JSON destination, per-point
+    /// derived like `--trace`.
     pub manifest: Option<String>,
-    /// Boolean switches beyond the shared set (e.g. `--dynamic` for the
-    /// failure ablation); binaries check them with [`Cli::has_flag`].
+    /// The binary's own boolean switches that were passed (e.g.
+    /// `--dynamic` for the failure ablation); checked with
+    /// [`Cli::has_flag`].
     pub flags: Vec<String>,
 }
 
@@ -89,48 +96,51 @@ fn derive_run_path(base: &str, run: &str) -> String {
     }
 }
 
-/// Parses `--scale`, `--seed`, `--out` from `std::env::args`. Other
-/// `--flag` switches are collected into [`Cli::flags`] for the binary to
-/// interpret; anything else is an error.
-pub fn parse_cli() -> Cli {
+/// Parses the shared flags from `std::env::args`, plus the boolean
+/// `switches` this binary accepts (e.g. `&["dynamic"]`). A bad command
+/// line prints one `error: …` line and exits with code 1.
+pub fn parse_cli(switches: &[&str]) -> Cli {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_args(&args, switches).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// [`parse_cli`]'s pure half: parses `args` (program name excluded).
+fn parse_args(args: &[String], switches: &[&str]) -> Result<Cli, String> {
     let mut cli = Cli::default();
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{arg} needs a value"))
+        };
+        match arg.as_str() {
             "--scale" => {
-                i += 1;
-                cli.scale = dcn_core::Scale::parse(&args[i])
-                    .unwrap_or_else(|| panic!("unknown scale '{}'", args[i]));
+                let v = value()?;
+                cli.scale = dcn_core::Scale::parse(&v)
+                    .ok_or_else(|| format!("unknown scale '{v}' (tiny|small|paper)"))?;
             }
             "--seed" => {
-                i += 1;
-                cli.seed = args[i].parse().expect("--seed takes an integer");
+                let v = value()?;
+                cli.seed = v
+                    .parse()
+                    .map_err(|_| format!("--seed takes an integer, got '{v}'"))?;
             }
-            "--out" => {
-                i += 1;
-                cli.out_dir = Some(args[i].clone());
-            }
-            "--trace" => {
-                i += 1;
-                cli.trace = Some(args[i].clone());
-            }
-            "--telemetry" => {
-                i += 1;
-                cli.telemetry = Some(args[i].clone());
-            }
-            "--manifest" => {
-                i += 1;
-                cli.manifest = Some(args[i].clone());
-            }
-            other if other.starts_with("--") => {
-                cli.flags.push(other.trim_start_matches("--").to_string());
-            }
-            other => panic!("unexpected argument '{other}' (flags start with --)"),
+            "--out" => cli.out_dir = Some(value()?),
+            "--trace" => cli.trace = Some(value()?),
+            "--telemetry" => cli.telemetry = Some(value()?),
+            "--manifest" => cli.manifest = Some(value()?),
+            other => match other.strip_prefix("--") {
+                Some(name) if switches.contains(&name) => cli.flags.push(name.to_string()),
+                Some(_) => return Err(format!("unknown flag '{other}'")),
+                None => return Err(format!("unexpected argument '{other}'")),
+            },
         }
-        i += 1;
     }
-    cli
+    Ok(cli)
 }
 
 /// A figure's data: named columns over a shared x-axis.
@@ -156,6 +166,26 @@ impl Series {
     pub fn push(&mut self, x: f64, values: Vec<f64>) {
         assert_eq!(values.len(), self.columns.len());
         self.rows.push((x, values));
+    }
+
+    /// The panels of one figure: one `Series` per name, all over the same
+    /// x-axis and columns.
+    pub fn panels<const N: usize>(
+        figures: [&str; N],
+        x_label: &str,
+        columns: &[&str],
+    ) -> [Series; N] {
+        figures.map(|f| Series::new(f, x_label, columns))
+    }
+
+    /// Pushes a row holding `metric` of each point result, one per column.
+    pub fn push_metric(
+        &mut self,
+        x: f64,
+        results: &[PointResult],
+        metric: impl Fn(&dcn_sim::Metrics) -> f64,
+    ) {
+        self.push(x, results.iter().map(|(m, _)| metric(m)).collect());
     }
 
     /// Prints the TSV block the harness emits for every figure.
@@ -232,6 +262,15 @@ impl Series {
     }
 }
 
+/// Pushes one row to the three panels of figs 9–11 — average FCT, p99
+/// short-flow FCT, long-flow goodput — one column per point result.
+pub fn push_fct_panels(panels: &mut [Series; 3], x: f64, row: &[PointResult]) {
+    let [avg, p99_short, long_tput] = panels;
+    avg.push_metric(x, row, |m| m.avg_fct_ms);
+    p99_short.push_metric(x, row, |m| m.p99_short_fct_ms);
+    long_tput.push_metric(x, row, |m| m.avg_long_tput_gbps);
+}
+
 /// Minimal timing harness for the `cargo bench` targets (all declared
 /// `harness = false`): one warmup call, then `iters` timed runs, printing
 /// the mean wall-clock per iteration in a unit matched to its magnitude.
@@ -260,6 +299,228 @@ pub fn rate_sweep(max_rate: f64, n: usize) -> Vec<f64> {
 /// The fraction-of-active-servers sweep of Figs 5/6/9/10.
 pub fn fraction_sweep(n: usize) -> Vec<f64> {
     (1..=n).map(|i| i as f64 / n as f64).collect()
+}
+
+/// Per-scale Garg–Könemann options: tight on small instances, bracketed
+/// (certified lower/upper) on paper-scale ones where tight ε is too slow.
+pub fn gk_opts_for(n_racks: usize) -> dcn_maxflow::GkOptions {
+    if n_racks <= 128 {
+        dcn_maxflow::GkOptions {
+            epsilon: 0.05,
+            target: Some(1.0),
+            gap: 0.04,
+            max_phases: 2_000_000,
+        }
+    } else {
+        dcn_maxflow::GkOptions {
+            epsilon: 0.2,
+            target: Some(1.0),
+            gap: 0.1,
+            max_phases: 2_000_000,
+        }
+    }
+}
+
+/// One point of a fluid-flow throughput curve with its certified bracket.
+#[derive(Clone, Copy, Debug)]
+pub struct FluidPoint {
+    pub x: f64,
+    /// Feasible (primal) per-server throughput, clamped to 1.
+    pub lower: f64,
+    /// Dual upper bound, clamped to 1.
+    pub upper: f64,
+}
+
+/// Throughput-vs-fraction curve for a static topology under
+/// longest-matching TMs (§5): one Garg–Könemann solve per x, run in
+/// parallel by [`par_map`].
+pub fn fluid_curve(t: &dcn_topology::Topology, xs: &[f64], seed: u64) -> Vec<FluidPoint> {
+    let racks = t.tors_with_servers();
+    let opts = gk_opts_for(racks.len());
+    let net = dcn_maxflow::FlowNetwork::from_topology(t);
+    par_map(xs.len(), |i| {
+        let x = xs[i];
+        let pairs = dcn_workloads::longest_matching(t, &racks, x, seed);
+        let commodities: Vec<dcn_maxflow::Commodity> = pairs
+            .iter()
+            .map(|&(a, b)| dcn_maxflow::Commodity {
+                src: a,
+                dst: b,
+                demand: t.servers_at(a) as f64,
+            })
+            .collect();
+        let r = dcn_maxflow::max_concurrent_flow(&net, &commodities, opts);
+        FluidPoint {
+            x,
+            lower: r.throughput.min(1.0),
+            upper: r.upper_bound.min(1.0),
+        }
+    })
+}
+
+/// Runs `f(0..n)` through [`supervise::run_queue`] on
+/// `available_parallelism` workers and returns the results in index
+/// order, so a sweep's output does not depend on which worker finished
+/// first.
+pub fn par_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let (done, _) = supervise::run_queue(n, workers, |i| (f(i), true));
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Per-scale packet-experiment timing: measurement window, flow-generation
+/// horizon (a little past the window so load persists while window flows
+/// drain), and a hard simulation-time cap.
+#[derive(Clone, Copy, Debug)]
+pub struct PacketSetup {
+    pub window: (dcn_sim::Ns, dcn_sim::Ns),
+    pub horizon_s: f64,
+    pub max_time: dcn_sim::Ns,
+}
+
+pub fn packet_setup(scale: dcn_core::Scale) -> PacketSetup {
+    let window = dcn_core::default_window(scale);
+    PacketSetup {
+        window,
+        horizon_s: window.1 as f64 / 1e9 * 1.3,
+        max_time: window.1.saturating_mul(40),
+    }
+}
+
+/// What one packet point yields: the FCT metrics and the drop/mark
+/// counters.
+pub type PointResult = (dcn_sim::Metrics, dcn_core::SimCounters);
+
+/// One packet-level data point of a figure: a network, its routing and
+/// engine config, and the traffic offered to it.
+pub struct PacketPoint<'a> {
+    /// Names the point in progress lines and in its `--trace`,
+    /// `--telemetry` and `--manifest` paths; unique within a binary.
+    pub label: String,
+    pub topology: &'a dcn_topology::Topology,
+    pub routing: dcn_core::Routing,
+    pub cfg: dcn_sim::SimConfig,
+    pub pattern: &'a (dyn dcn_workloads::TrafficPattern + Sync),
+    /// Aggregate flow starts per second.
+    pub lambda: f64,
+    pub faults: Option<dcn_sim::FaultPlan>,
+}
+
+impl<'a> PacketPoint<'a> {
+    /// A point on the default [`dcn_sim::SimConfig`] with no faults.
+    pub fn new(
+        label: impl Into<String>,
+        topology: &'a dcn_topology::Topology,
+        routing: dcn_core::Routing,
+        pattern: &'a (dyn dcn_workloads::TrafficPattern + Sync),
+        lambda: f64,
+    ) -> Self {
+        PacketPoint {
+            label: label.into(),
+            topology,
+            routing,
+            cfg: dcn_sim::SimConfig::default(),
+            pattern,
+            lambda,
+            faults: None,
+        }
+    }
+
+    pub fn with_cfg(self, cfg: dcn_sim::SimConfig) -> Self {
+        PacketPoint { cfg, ..self }
+    }
+
+    pub fn with_faults(self, plan: dcn_sim::FaultPlan) -> Self {
+        PacketPoint {
+            faults: Some(plan),
+            ..self
+        }
+    }
+}
+
+/// Runs one packet point at `cli`'s scale and seed: generates the
+/// workload with flow sizes from `sizes`, runs it (with the point's fault
+/// plan, if any), and writes the point's trace, telemetry and manifest
+/// when `cli` asks for them.
+pub fn fct_point(
+    cli: &Cli,
+    sizes: &dyn dcn_workloads::FlowSizeDist,
+    p: &PacketPoint,
+) -> PointResult {
+    let setup = packet_setup(cli.scale);
+    let label = p.label.as_str();
+    eprintln!("{label}: λ = {}", p.lambda);
+    let flows =
+        dcn_workloads::generate_flows(p.pattern, sizes, p.lambda, setup.horizon_s, cli.seed);
+    let trace_path = cli.trace_path(label);
+    let tracer: Option<Box<dyn dcn_sim::Tracer>> = trace_path.as_deref().map(|path| {
+        eprintln!("tracing events to {path}");
+        Box::new(
+            dcn_sim::JsonlTracer::create(path).unwrap_or_else(|e| panic!("open trace {path}: {e}")),
+        ) as Box<dyn dcn_sim::Tracer>
+    });
+    let telemetry = cli.telemetry_path(label).map(|path| {
+        eprintln!("sampling telemetry to {path}");
+        dcn_sim::Telemetry::to_file(&path, dcn_sim::DEFAULT_SAMPLE_EVERY_NS)
+            .unwrap_or_else(|e| panic!("open telemetry {path}: {e}"))
+    });
+    let manifest_path = cli.manifest_path(label);
+    let spec = manifest_path.as_ref().map(|_| {
+        let mut s = dcn_core::ManifestSpec::new(label, cli.seed);
+        s.trace_path = trace_path.clone();
+        s
+    });
+    let opts = dcn_core::RunOptions {
+        faults: p.faults.as_ref(),
+        tracer,
+        telemetry,
+        manifest: spec.as_ref(),
+    };
+    let (m, counters, manifest) = dcn_core::run_fct_experiment(
+        p.topology,
+        p.routing,
+        p.cfg,
+        &flows,
+        setup.window,
+        setup.max_time,
+        opts,
+    );
+    if let (Some(path), Some(man)) = (manifest_path, manifest) {
+        man.write(&path)
+            .unwrap_or_else(|e| panic!("write manifest {path}: {e}"));
+        eprintln!("wrote {path}");
+    }
+    if m.completed + m.failed < m.flows {
+        eprintln!(
+            "warning: {}/{} window flows unfinished at max_time ({label}: {} {:?} λ={})",
+            m.flows - m.completed - m.failed,
+            m.flows,
+            p.topology.name(),
+            p.routing,
+            p.lambda
+        );
+    }
+    (m, counters)
+}
+
+/// Runs every point with [`fct_point`], in parallel via [`par_map`];
+/// results come back in point order. All points draw flow sizes from
+/// `sizes`.
+///
+/// # Panics
+/// If two points share a label (their observability files would
+/// overwrite each other).
+pub fn run_points(
+    cli: &Cli,
+    sizes: &(dyn dcn_workloads::FlowSizeDist + Sync),
+    points: &[PacketPoint],
+) -> Vec<PointResult> {
+    let mut labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
+    labels.sort_unstable();
+    if let Some(w) = labels.windows(2).find(|w| w[0] == w[1]) {
+        panic!("duplicate packet-point label '{}'", w[0]);
+    }
+    par_map(points.len(), |i| fct_point(cli, sizes, &points[i]))
 }
 
 #[cfg(test)]
@@ -309,220 +570,111 @@ mod tests {
         let r = rate_sweep(1000.0, 4);
         assert_eq!(r, vec![250.0, 500.0, 750.0, 1000.0]);
     }
-}
 
-/// Per-scale Garg–Könemann options: tight on small instances, bracketed
-/// (certified lower/upper) on paper-scale ones where tight ε is too slow.
-pub fn gk_opts_for(n_racks: usize) -> dcn_maxflow::GkOptions {
-    if n_racks <= 128 {
-        dcn_maxflow::GkOptions {
-            epsilon: 0.05,
-            target: Some(1.0),
-            gap: 0.04,
-            max_phases: 2_000_000,
-        }
-    } else {
-        dcn_maxflow::GkOptions {
-            epsilon: 0.2,
-            target: Some(1.0),
-            gap: 0.1,
-            max_phases: 2_000_000,
-        }
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
     }
-}
 
-/// One point of a fluid-flow throughput curve with its certified bracket.
-#[derive(Clone, Copy, Debug)]
-pub struct FluidPoint {
-    pub x: f64,
-    /// Feasible (primal) per-server throughput, clamped to 1.
-    pub lower: f64,
-    /// Dual upper bound, clamped to 1.
-    pub upper: f64,
-}
+    #[test]
+    fn parse_args_reads_shared_flags_and_declared_switches() {
+        let cli = parse_args(
+            &args("--scale tiny --seed 7 --out r --trace t.jsonl --manifest m.json --dynamic"),
+            &["dynamic"],
+        )
+        .unwrap();
+        assert_eq!(cli.scale, dcn_core::Scale::Tiny);
+        assert_eq!(cli.seed, 7);
+        assert_eq!(cli.out_dir.as_deref(), Some("r"));
+        assert_eq!(cli.trace.as_deref(), Some("t.jsonl"));
+        assert_eq!(cli.manifest.as_deref(), Some("m.json"));
+        assert!(cli.has_flag("dynamic"));
+        assert!(!parse_args(&[], &[]).unwrap().has_flag("dynamic"));
+    }
 
-/// Throughput-vs-fraction curve for a static topology under
-/// longest-matching TMs (§5): one Garg–Könemann solve per x, spread over
-/// scoped threads (one per point, capped by available parallelism).
-pub fn fluid_curve(t: &dcn_topology::Topology, xs: &[f64], seed: u64) -> Vec<FluidPoint> {
-    let racks = t.tors_with_servers();
-    let opts = gk_opts_for(racks.len());
-    let net = dcn_maxflow::FlowNetwork::from_topology(t);
-    let solve = |x: f64| {
-        let pairs = dcn_workloads::longest_matching(t, &racks, x, seed);
-        let commodities: Vec<dcn_maxflow::Commodity> = pairs
+    #[test]
+    fn parse_args_rejects_bad_command_lines() {
+        let err = |line: &str| parse_args(&args(line), &["check"]).unwrap_err();
+        assert_eq!(err("--seed"), "--seed needs a value");
+        assert_eq!(err("--scale tiny --out"), "--out needs a value");
+        assert_eq!(err("--seed x"), "--seed takes an integer, got 'x'");
+        assert_eq!(
+            err("--scale huge"),
+            "unknown scale 'huge' (tiny|small|paper)"
+        );
+        assert_eq!(err("--sede 3"), "unknown flag '--sede'");
+        assert_eq!(err("--dynamic"), "unknown flag '--dynamic'");
+        assert_eq!(err("tiny"), "unexpected argument 'tiny'");
+    }
+
+    fn tiny_point<'a>(
+        t: &'a dcn_topology::Topology,
+        pattern: &'a dcn_workloads::AllToAll,
+        label: &str,
+    ) -> PacketPoint<'a> {
+        PacketPoint::new(label, t, dcn_core::Routing::Ecmp, pattern, 300.0)
+    }
+
+    fn tiny_fat_tree() -> (dcn_topology::Topology, dcn_workloads::AllToAll) {
+        let t = dcn_topology::fattree::FatTree::full(4).build();
+        let pattern = dcn_workloads::AllToAll::new(&t, t.tors_with_servers());
+        (t, pattern)
+    }
+
+    #[test]
+    fn fct_point_writes_every_artifact_at_its_label_path() {
+        let dir = std::env::temp_dir().join(format!("dcn_bench_point_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = |name: &str| Some(dir.join(name).to_str().unwrap().to_string());
+        let cli = Cli {
+            scale: dcn_core::Scale::Tiny,
+            trace: base("ev.jsonl"),
+            telemetry: base("ts.jsonl"),
+            manifest: base("m.json"),
+            ..Cli::default()
+        };
+        let (t, pattern) = tiny_fat_tree();
+        let sizes = dcn_workloads::PFabricWebSearch::new();
+        let (m, c) = fct_point(&cli, &sizes, &tiny_point(&t, &pattern, "ft_p050"));
+        assert!(m.flows > 0 && c.events > 0);
+        for name in ["ev.ft_p050.jsonl", "ts.ft_p050.jsonl", "m.ft_p050.json"] {
+            let len = std::fs::metadata(dir.join(name)).map_or(0, |md| md.len());
+            assert!(len > 0, "{name} missing or empty");
+        }
+        let manifest = std::fs::read_to_string(dir.join("m.ft_p050.json")).unwrap();
+        assert!(
+            manifest.contains("ev.ft_p050.jsonl"),
+            "manifest names its trace"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn run_points_keeps_point_order() {
+        let cli = Cli {
+            scale: dcn_core::Scale::Tiny,
+            ..Cli::default()
+        };
+        let (t, pattern) = tiny_fat_tree();
+        let sizes = dcn_workloads::PFabricWebSearch::new();
+        let points: Vec<_> = [100.0, 400.0, 200.0]
             .iter()
-            .map(|&(a, b)| dcn_maxflow::Commodity {
-                src: a,
-                dst: b,
-                demand: t.servers_at(a) as f64,
+            .map(|&l| PacketPoint {
+                lambda: l,
+                ..tiny_point(&t, &pattern, &format!("l{l}"))
             })
             .collect();
-        let r = dcn_maxflow::max_concurrent_flow(&net, &commodities, opts);
-        FluidPoint {
-            x,
-            lower: r.throughput.min(1.0),
-            upper: r.upper_bound.min(1.0),
+        let parallel = run_points(&cli, &sizes, &points);
+        for (p, (m, _)) in points.iter().zip(&parallel) {
+            assert_eq!(fct_point(&cli, &sizes, p).0.flows, m.flows, "{}", p.label);
         }
-    };
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut points: Vec<Option<FluidPoint>> = vec![None; xs.len()];
-    std::thread::scope(|scope| {
-        for (chunk_xs, chunk_out) in xs
-            .chunks(xs.len().div_ceil(threads))
-            .zip(points.chunks_mut(xs.len().div_ceil(threads)))
-        {
-            scope.spawn(|| {
-                for (&x, out) in chunk_xs.iter().zip(chunk_out.iter_mut()) {
-                    *out = Some(solve(x));
-                }
-            });
-        }
-    });
-    points
-        .into_iter()
-        .map(|p| p.expect("every point solved"))
-        .collect()
-}
-
-/// Per-scale packet-experiment timing: measurement window, flow-generation
-/// horizon (a little past the window so load persists while window flows
-/// drain), and a hard simulation-time cap.
-#[derive(Clone, Copy, Debug)]
-pub struct PacketSetup {
-    pub window: (dcn_sim::Ns, dcn_sim::Ns),
-    pub horizon_s: f64,
-    pub max_time: dcn_sim::Ns,
-}
-
-pub fn packet_setup(scale: dcn_core::Scale) -> PacketSetup {
-    let window = dcn_core::default_window(scale);
-    PacketSetup {
-        window,
-        horizon_s: window.1 as f64 / 1e9 * 1.3,
-        max_time: window.1.saturating_mul(40),
     }
-}
 
-/// One packet-level FCT data point: generate the workload, run, aggregate.
-#[allow(clippy::too_many_arguments)]
-pub fn fct_point(
-    topology: &dcn_topology::Topology,
-    routing: dcn_core::Routing,
-    cfg: dcn_sim::SimConfig,
-    pattern: &dyn dcn_workloads::TrafficPattern,
-    sizes: &dyn dcn_workloads::FlowSizeDist,
-    lambda: f64,
-    setup: PacketSetup,
-    seed: u64,
-) -> dcn_sim::Metrics {
-    fct_point_traced(
-        topology, routing, cfg, pattern, sizes, lambda, setup, seed, None,
-    )
-}
-
-/// [`fct_point`] with an optional JSONL trace destination: when `Some`,
-/// every simulator event of the run streams to that file (created or
-/// truncated). Binaries wire this to `--trace` via [`Cli::trace_path`].
-#[allow(clippy::too_many_arguments)]
-pub fn fct_point_traced(
-    topology: &dcn_topology::Topology,
-    routing: dcn_core::Routing,
-    cfg: dcn_sim::SimConfig,
-    pattern: &dyn dcn_workloads::TrafficPattern,
-    sizes: &dyn dcn_workloads::FlowSizeDist,
-    lambda: f64,
-    setup: PacketSetup,
-    seed: u64,
-    trace: Option<&str>,
-) -> dcn_sim::Metrics {
-    let flows = dcn_workloads::generate_flows(pattern, sizes, lambda, setup.horizon_s, seed);
-    let tracer: Option<Box<dyn dcn_sim::Tracer>> = trace.map(|p| {
-        eprintln!("tracing events to {p}");
-        Box::new(dcn_sim::JsonlTracer::create(p).unwrap_or_else(|e| panic!("open trace {p}: {e}")))
-            as Box<dyn dcn_sim::Tracer>
-    });
-    let (m, _) = dcn_core::run_fct_experiment_traced(
-        topology,
-        routing,
-        cfg,
-        &flows,
-        setup.window,
-        setup.max_time,
-        None,
-        tracer,
-    );
-    if m.completed < m.flows {
-        eprintln!(
-            "warning: {}/{} window flows unfinished at max_time ({} {:?} λ={lambda})",
-            m.flows - m.completed,
-            m.flows,
-            topology.name(),
-            routing
-        );
+    #[test]
+    #[should_panic(expected = "duplicate packet-point label 'x'")]
+    fn run_points_rejects_duplicate_labels() {
+        let (t, pattern) = tiny_fat_tree();
+        let sizes = dcn_workloads::PFabricWebSearch::new();
+        let points = [tiny_point(&t, &pattern, "x"), tiny_point(&t, &pattern, "x")];
+        run_points(&Cli::default(), &sizes, &points);
     }
-    m
-}
-
-/// [`fct_point`] with the full observability wiring: per-run `--trace`,
-/// `--telemetry`, and `--manifest` destinations derived from `cli` under
-/// the `run` label. Identical to [`fct_point`] when none of the three
-/// flags are set.
-#[allow(clippy::too_many_arguments)]
-pub fn fct_point_run(
-    cli: &Cli,
-    run: &str,
-    topology: &dcn_topology::Topology,
-    routing: dcn_core::Routing,
-    cfg: dcn_sim::SimConfig,
-    pattern: &dyn dcn_workloads::TrafficPattern,
-    sizes: &dyn dcn_workloads::FlowSizeDist,
-    lambda: f64,
-    setup: PacketSetup,
-) -> dcn_sim::Metrics {
-    let flows = dcn_workloads::generate_flows(pattern, sizes, lambda, setup.horizon_s, cli.seed);
-    let trace_path = cli.trace_path(run);
-    let tracer: Option<Box<dyn dcn_sim::Tracer>> = trace_path.as_deref().map(|p| {
-        eprintln!("tracing events to {p}");
-        Box::new(dcn_sim::JsonlTracer::create(p).unwrap_or_else(|e| panic!("open trace {p}: {e}")))
-            as Box<dyn dcn_sim::Tracer>
-    });
-    let telemetry = cli.telemetry_path(run).map(|p| {
-        eprintln!("sampling telemetry to {p}");
-        dcn_sim::Telemetry::to_file(&p, dcn_sim::DEFAULT_SAMPLE_EVERY_NS)
-            .unwrap_or_else(|e| panic!("open telemetry {p}: {e}"))
-    });
-    let manifest_path = cli.manifest_path(run);
-    let spec = manifest_path.as_ref().map(|_| {
-        let mut s = dcn_core::ManifestSpec::new(run, cli.seed);
-        s.trace_path = trace_path.clone();
-        s
-    });
-    let (m, _, manifest) = dcn_core::run_fct_experiment_instrumented(
-        topology,
-        routing,
-        cfg,
-        &flows,
-        setup.window,
-        setup.max_time,
-        None,
-        tracer,
-        telemetry,
-        spec.as_ref(),
-    );
-    if let (Some(p), Some(man)) = (manifest_path, manifest) {
-        man.write(&p)
-            .unwrap_or_else(|e| panic!("write manifest {p}: {e}"));
-        eprintln!("wrote {p}");
-    }
-    if m.completed < m.flows {
-        eprintln!(
-            "warning: {}/{} window flows unfinished at max_time ({} {:?} λ={lambda})",
-            m.flows - m.completed,
-            m.flows,
-            topology.name(),
-            routing
-        );
-    }
-    m
 }

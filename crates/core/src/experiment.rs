@@ -128,10 +128,29 @@ impl SimCounters {
     }
 }
 
+/// The optional extras of one [`run_fct_experiment`] call. `Default` is a
+/// plain run: no faults, the zero-overhead [`dcn_sim::NopTracer`], no
+/// telemetry, no manifest.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Fault plan injected before the run. With faults the completion
+    /// guarantee weakens to "every window flow is completed or failed"
+    /// (disconnected pairs are failed, not hung).
+    pub faults: Option<&'a FaultPlan>,
+    /// Event tracer attached for the duration of the run.
+    pub tracer: Option<Box<dyn Tracer>>,
+    /// Time-series fabric sampler.
+    pub telemetry: Option<Telemetry>,
+    /// Makes the run return a provenance-complete [`RunManifest`] (the
+    /// caller decides where to write it).
+    pub manifest: Option<&'a ManifestSpec>,
+}
+
 /// Runs one packet-level FCT experiment: injects `flows`, measures over
 /// `window`, runs until every window flow completes (`max_time` caps
 /// runaway experiments, matching the paper's "run until all flows in the
-/// interval finish").
+/// interval finish"). The manifest is `Some` exactly when
+/// `opts.manifest` is.
 pub fn run_fct_experiment(
     topology: &Topology,
     routing: Routing,
@@ -139,68 +158,14 @@ pub fn run_fct_experiment(
     flows: &[FlowEvent],
     window: (Ns, Ns),
     max_time: Ns,
-) -> (Metrics, SimCounters) {
-    run_fct_experiment_with_faults(topology, routing, cfg, flows, window, max_time, None)
-}
-
-/// [`run_fct_experiment`] with an optional fault plan injected before the
-/// run — the robustness experiments' entry point. With faults the
-/// completion guarantee weakens to "every window flow is completed or
-/// failed" (disconnected pairs are failed, not hung).
-pub fn run_fct_experiment_with_faults(
-    topology: &Topology,
-    routing: Routing,
-    cfg: SimConfig,
-    flows: &[FlowEvent],
-    window: (Ns, Ns),
-    max_time: Ns,
-    faults: Option<&FaultPlan>,
-) -> (Metrics, SimCounters) {
-    run_fct_experiment_traced(
-        topology, routing, cfg, flows, window, max_time, faults, None,
-    )
-}
-
-/// [`run_fct_experiment_with_faults`] with an optional [`Tracer`] attached
-/// to the simulator for the duration of the run — the observability
-/// entry point used by `--trace` on the harness binaries and by the
-/// trace-regression and conservation tests. `None` keeps the default
-/// [`dcn_sim::NopTracer`] (zero overhead, byte-identical outputs).
-#[allow(clippy::too_many_arguments)]
-pub fn run_fct_experiment_traced(
-    topology: &Topology,
-    routing: Routing,
-    cfg: SimConfig,
-    flows: &[FlowEvent],
-    window: (Ns, Ns),
-    max_time: Ns,
-    faults: Option<&FaultPlan>,
-    tracer: Option<Box<dyn Tracer>>,
-) -> (Metrics, SimCounters) {
-    let (metrics, counters, _) = run_fct_experiment_instrumented(
-        topology, routing, cfg, flows, window, max_time, faults, tracer, None, None,
-    );
-    (metrics, counters)
-}
-
-/// The fully instrumented experiment entry point every other `run_fct_*`
-/// variant delegates to: optional [`Tracer`], optional time-series
-/// [`Telemetry`], and an optional [`ManifestSpec`] that makes the run
-/// return a provenance-complete [`RunManifest`] (the caller decides where
-/// to write it).
-#[allow(clippy::too_many_arguments)]
-pub fn run_fct_experiment_instrumented(
-    topology: &Topology,
-    routing: Routing,
-    cfg: SimConfig,
-    flows: &[FlowEvent],
-    window: (Ns, Ns),
-    max_time: Ns,
-    faults: Option<&FaultPlan>,
-    tracer: Option<Box<dyn Tracer>>,
-    telemetry: Option<Telemetry>,
-    manifest: Option<&ManifestSpec>,
+    opts: RunOptions,
 ) -> (Metrics, SimCounters, Option<RunManifest>) {
+    let RunOptions {
+        faults,
+        tracer,
+        telemetry,
+        manifest,
+    } = opts;
     let mut sim = Simulator::new(topology, routing.selector(topology), cfg);
     sim.set_window(window.0, window.1);
     sim.inject(flows);
@@ -299,13 +264,14 @@ mod tests {
         let pattern = AllToAll::new(&p.fat_tree, p.fat_tree.tors_with_servers());
         let flows = generate_flows(&pattern, &FixedSize(20_000), 2000.0, 0.02, 3);
         let window = (5 * MS, 15 * MS);
-        let (m, c) = run_fct_experiment(
+        let (m, c, _) = run_fct_experiment(
             &p.fat_tree,
             Routing::Ecmp,
             SimConfig::default(),
             &flows,
             window,
             10 * SEC,
+            RunOptions::default(),
         );
         assert!(m.flows > 0);
         assert_eq!(m.completed, m.flows, "all window flows must finish");
@@ -318,13 +284,14 @@ mod tests {
         let p = paper_networks(Scale::Tiny, 1);
         let pattern = AllToAll::new(&p.xpander, p.xpander.tors_with_servers());
         let flows = generate_flows(&pattern, &FixedSize(200_000), 1000.0, 0.02, 3);
-        let (m, _) = run_fct_experiment(
+        let (m, _, _) = run_fct_experiment(
             &p.xpander,
             Routing::PAPER_HYB,
             SimConfig::default(),
             &flows,
             (0, 20 * MS),
             10 * SEC,
+            RunOptions::default(),
         );
         assert_eq!(m.completed, m.flows);
         assert!(m.avg_long_tput_gbps > 0.0);
@@ -336,13 +303,14 @@ mod tests {
         let pattern = AllToAll::new(&p.xpander, p.xpander.tors_with_servers());
         let flows = generate_flows(&pattern, &FixedSize(150_000), 800.0, 0.01, 5);
         for routing in [Routing::AdaptiveHyb(5), Routing::Ksp(4)] {
-            let (m, _) = run_fct_experiment(
+            let (m, _, _) = run_fct_experiment(
                 &p.xpander,
                 routing,
                 SimConfig::default(),
                 &flows,
                 (0, 10_000_000),
                 10 * SEC,
+                RunOptions::default(),
             );
             assert_eq!(m.completed, m.flows, "{routing:?}");
         }
@@ -354,14 +322,18 @@ mod tests {
         let pattern = AllToAll::new(&p.xpander, p.xpander.tors_with_servers());
         let flows = generate_flows(&pattern, &FixedSize(100_000), 1500.0, 0.02, 7);
         let plan = FaultPlan::random_link_outages(&p.xpander, 3, 2 * MS, Some(10 * MS), 5);
-        let (m, c) = run_fct_experiment_with_faults(
+        let opts = RunOptions {
+            faults: Some(&plan),
+            ..Default::default()
+        };
+        let (m, c, _) = run_fct_experiment(
             &p.xpander,
             Routing::PAPER_HYB,
             SimConfig::default(),
             &flows,
             (0, 15 * MS),
             60 * SEC,
-            Some(&plan),
+            opts,
         );
         assert!(m.flows > 0);
         assert_eq!(m.completed + m.failed, m.flows, "flow in limbo");

@@ -33,8 +33,7 @@ pub mod theory;
 pub use cost::{delta_lowest, equal_cost_xpander, table1};
 pub use dynamicnet::{RestrictedDynamic, UnrestrictedDynamic};
 pub use experiment::{
-    default_window, paper_networks, run_fct_experiment, run_fct_experiment_instrumented,
-    run_fct_experiment_traced, run_fct_experiment_with_faults, NetworkPair, Routing, Scale,
+    default_window, paper_networks, run_fct_experiment, NetworkPair, Routing, RunOptions, Scale,
     SimCounters,
 };
 pub use flex::{fat_tree_throughput, tp_throughput, FlexCurve};

@@ -59,7 +59,7 @@ impl ManifestSpec {
 }
 
 /// Everything [`RunManifest::build`] folds into the manifest; assembled by
-/// `run_fct_experiment_instrumented`.
+/// [`run_fct_experiment`](crate::run_fct_experiment).
 pub struct ManifestInputs<'a> {
     pub spec: &'a ManifestSpec,
     pub topology: &'a Topology,

@@ -8,13 +8,14 @@ use beyond_fattrees::prelude::*;
 
 fn run(topo: &Topology, routing: Routing, pattern: &dyn TrafficPattern, lambda: f64) -> Metrics {
     let flows = generate_flows(pattern, &PFabricWebSearch::new(), lambda, 0.06, 3);
-    let (m, _) = run_fct_experiment(
+    let (m, _, _) = run_fct_experiment(
         topo,
         routing,
         SimConfig::default(),
         &flows,
         (10 * MS, 50 * MS),
         20 * SEC,
+        RunOptions::default(),
     );
     m
 }

@@ -82,6 +82,30 @@ cmp "$det_dir/ts_a.jsonl" "$det_dir/ts_b.jsonl"
 cargo run --release --bin dcnstat -- diff "$det_dir/man_a.json" "$det_dir/man_b.json"
 rm -rf "$det_dir"
 
+echo "==> bench observability smoke (one trace + manifest per packet point)"
+pt_dir="$(mktemp -d)"
+for run in a b; do
+  mkdir "$pt_dir/$run"
+  cargo run --release -q -p dcn-bench --bin ablate_ecn -- --scale tiny --seed 1 \
+    --trace "$pt_dir/$run/ev.jsonl" --manifest "$pt_dir/$run/m.json" > /dev/null
+  # ablate_ecn sweeps five ECN thresholds: five points, five files of each.
+  test "$(find "$pt_dir/$run" -name 'ev.*.jsonl' -size +0 | wc -l)" -eq 5
+  test "$(find "$pt_dir/$run" -name 'm.*.json' | wc -l)" -eq 5
+  # Full event traces run to ~1 GB here; only the manifests are kept.
+  rm "$pt_dir/$run"/ev.*.jsonl
+done
+for m in "$pt_dir"/a/m.*.json; do
+  cargo run --release -q --bin dcnstat -- diff "$m" "$pt_dir/b/$(basename "$m")"
+done
+rm -rf "$pt_dir"
+# A bad bench command line is one error line and exit code 1, not a panic.
+set +e
+err_out="$(cargo run --release -q -p dcn-bench --bin ablate_ecn -- --seed 2>&1 >/dev/null)"
+err_rc=$?
+set -e
+test "$err_rc" -eq 1
+test "$err_out" = "error: --seed needs a value"
+
 echo "==> determinism property sweep (random topo/transport/chaos, resume at random t)"
 cargo test --release -q --test parallel_determinism
 

@@ -111,17 +111,20 @@ fn main() {
         s
     });
 
-    let (m, counters, manifest) = run_fct_experiment_instrumented(
+    let opts = RunOptions {
+        faults: exp.faults.as_ref(),
+        tracer,
+        telemetry,
+        manifest: spec.as_ref(),
+    };
+    let (m, counters, manifest) = run_fct_experiment(
         &exp.topo,
         exp.routing,
         exp.sim,
         &exp.flows,
         exp.window,
         exp.max_time,
-        exp.faults.as_ref(),
-        tracer,
-        telemetry,
-        spec.as_ref(),
+        opts,
     );
     if let (Some(p), Some(man)) = (&manifest_path, &manifest) {
         man.write(p)

@@ -751,17 +751,18 @@ mod tests {
             let flows = generate_flows(&pattern, &PFabricWebSearch::new(), 200.0, 0.01, 7);
             let spec = ManifestSpec::new("dcnstat-test", 7);
             let cfg = SimConfig::default().with_wall_counters();
-            let (_, _, manifest) = run_fct_experiment_instrumented(
+            let opts = RunOptions {
+                manifest: Some(&spec),
+                ..Default::default()
+            };
+            let (_, _, manifest) = run_fct_experiment(
                 &topo,
                 Routing::Ecmp,
                 cfg,
                 &flows,
                 (0, 2 * MS),
                 40 * MS,
-                None,
-                None,
-                None,
-                Some(&spec),
+                opts,
             );
             manifest.unwrap().json().clone()
         };

@@ -28,7 +28,7 @@ use crate::prelude::*;
 use dcn_json::Json;
 
 /// A fully materialized experiment: everything
-/// [`run_fct_experiment_instrumented`] needs, plus the observability
+/// [`run_fct_experiment`] needs, plus the observability
 /// destinations the config (or CLI flags layered on top) requested.
 pub struct Experiment {
     pub seed: u64,

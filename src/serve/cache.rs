@@ -64,16 +64,20 @@ pub struct CacheKey {
     pub faults: u64,
     /// FNV-1a of the canonicalized request config JSON.
     pub request: u64,
+    /// [`dcn_sim::checkpoint::VERSION`] of the engine that computed the
+    /// result, so a state dir filled by an older engine is not served.
+    pub engine: u32,
 }
 
 impl CacheKey {
     /// The entry's file stem: 16 hex digits of the combined hash.
     pub fn hex(&self) -> String {
-        let mut buf = [0u8; 32];
+        let mut buf = [0u8; 36];
         buf[..8].copy_from_slice(&self.topo.to_le_bytes());
         buf[8..16].copy_from_slice(&self.sim_cfg.to_le_bytes());
         buf[16..24].copy_from_slice(&self.faults.to_le_bytes());
-        buf[24..].copy_from_slice(&self.request.to_le_bytes());
+        buf[24..32].copy_from_slice(&self.request.to_le_bytes());
+        buf[32..].copy_from_slice(&self.engine.to_le_bytes());
         format!("{:016x}", fnv1a(&buf))
     }
 }
@@ -389,6 +393,7 @@ mod tests {
             sim_cfg: n ^ 1,
             faults: 0,
             request: n.wrapping_mul(7),
+            engine: dcn_sim::checkpoint::VERSION,
         }
     }
 
@@ -435,6 +440,16 @@ mod tests {
             assert_ne!(k.hex(), base.hex());
         }
         let _ = std::fs::remove_dir_all(&c.dir);
+    }
+
+    #[test]
+    fn engine_version_is_part_of_the_key() {
+        let base = key(1);
+        let older = CacheKey {
+            engine: base.engine - 1,
+            ..base
+        };
+        assert_ne!(older.hex(), base.hex());
     }
 
     #[test]

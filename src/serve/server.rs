@@ -529,6 +529,7 @@ fn cache_key(exp: &Experiment, canonical: &[u8]) -> CacheKey {
         sim_cfg: config_fingerprint(&exp.sim),
         faults: exp.faults.as_ref().map(|p| p.digest()).unwrap_or(0),
         request: fnv1a(canonical),
+        engine: dcn_sim::checkpoint::VERSION,
     }
 }
 

@@ -293,6 +293,7 @@ fn cache_matrix(covered: &mut BTreeSet<&'static str>) {
         sim_cfg: 8,
         faults: 0,
         request: 9,
+        engine: beyond_fattrees::sim::checkpoint::VERSION,
     };
 
     // Store under ENOSPC: loud failure, no entry appears.

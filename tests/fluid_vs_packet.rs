@@ -23,13 +23,14 @@ fn packet_goodput(t: &Topology, pairs: &[(u32, u32)], bytes: u64) -> f64 {
             bytes,
         });
     }
-    let (m, _) = run_fct_experiment(
+    let (m, _, _) = run_fct_experiment(
         t,
         Routing::Ecmp,
         SimConfig::default(),
         &flows,
         (0, MS),
         60 * SEC,
+        RunOptions::default(),
     );
     assert_eq!(m.completed, m.flows);
     m.avg_long_tput_gbps

@@ -84,20 +84,23 @@ fn manifest_agrees_with_intrinsic_conservation() {
     let flows = generate_flows(&pattern, &PFabricWebSearch::new(), 2000.0, 0.01, seed);
     let spec = ManifestSpec::new("telemetry-test", seed);
     let buf = SharedBuf::new();
-    let (_, _, man) = run_fct_experiment_instrumented(
+    let opts = RunOptions {
+        tracer: Some(Box::new(CountingTracer::new())),
+        telemetry: Some(Telemetry::new(
+            Box::new(buf.clone()),
+            DEFAULT_SAMPLE_EVERY_NS,
+        )),
+        manifest: Some(&spec),
+        ..Default::default()
+    };
+    let (_, _, man) = run_fct_experiment(
         &xp,
         Routing::PAPER_HYB,
         SimConfig::default(),
         &flows,
         (0, 10 * MS),
         20 * SEC,
-        None,
-        Some(Box::new(CountingTracer::new())),
-        Some(Telemetry::new(
-            Box::new(buf.clone()),
-            DEFAULT_SAMPLE_EVERY_NS,
-        )),
-        Some(&spec),
+        opts,
     );
     let man = man.expect("manifest requested");
 
